@@ -54,8 +54,9 @@ func dumpVCD(tb *dipe.Testbench, src dipe.Source, path string, cycles int) error
 }
 
 // reportTopConsumers accumulates per-node transition counts over a
-// counting reference run and prints the highest-power nodes.
-func reportTopConsumers(c *dipe.Circuit, tb *dipe.Testbench, src dipe.Source, n int) error {
+// counting reference run and prints the highest-power nodes through the
+// same attribution report as -breakdown.
+func reportTopConsumers(c *dipe.Circuit, tb *dipe.Testbench, src dipe.Source, n int) {
 	const cycles = 20_000
 	s := tb.NewSession(src)
 	s.StepHiddenN(256)
@@ -63,15 +64,7 @@ func reportTopConsumers(c *dipe.Circuit, tb *dipe.Testbench, src dipe.Source, n 
 	for i := 0; i < cycles; i++ {
 		s.StepSampled(counts)
 	}
-	total := tb.Model.PowerFromCounts(counts, cycles)
-	fmt.Printf("total average power over %d cycles: %s\n", cycles, dipe.FormatWatts(total))
-	fmt.Printf("%-4s %-16s %14s %8s %12s\n", "#", "node", "power", "share", "switch/cyc")
-	for i, b := range tb.Model.TopConsumers(c, counts, cycles, n) {
-		fmt.Printf("%-4d %-16s %14s %7.2f%% %12.3f\n",
-			i+1, b.Name, dipe.FormatWatts(b.Power), 100*b.Share,
-			float64(counts[b.Node])/float64(cycles))
-	}
-	return nil
+	printBreakdown(tb.Model.Breakdown(c, counts, cycles), n)
 }
 
 func main() {
@@ -92,7 +85,7 @@ func main() {
 		inputRho    = flag.Float64("rho", 0, "primary-input lag-1 autocorrelation (0 = i.i.d.)")
 		seed        = flag.Int64("seed", 1, "random seed")
 		fixed       = flag.Int("interval", -1, "fixed independence interval (skip selection; -1 = dynamic)")
-		reps        = flag.Int("replications", 0, "parallel replications (bit-packed, 64 per word; 0 = serial estimator)")
+		reps        = flag.Int("replications", 0, "parallel replications (lane-parallel, up to 512 per compiled session; 0 = serial estimator)")
 		workers     = flag.Int("workers", 0, "goroutine pool for -replications (0 = GOMAXPROCS)")
 		sessWorkers = flag.Int("session-workers", 0, "level-parallel workers inside each compiled session (0 = serial; result-invariant)")
 		cacheBudget = flag.Int("cache-budget", 0, "compiled-backend cache-blocking budget in bytes (0 = default ~L2/2, <0 = disable blocking; result-invariant)")
@@ -282,7 +275,8 @@ func run(circuitName, benchPath, blifPath string, alpha float64, seqLen int, rel
 	}
 
 	if topN > 0 {
-		return reportTopConsumers(c, tb, newSource(), topN)
+		reportTopConsumers(c, tb, newSource(), topN)
+		return nil
 	}
 
 	if maxBudget > 0 {
@@ -344,16 +338,7 @@ func run(circuitName, benchPath, blifPath string, alpha float64, seqLen int, rel
 		return err
 	}
 	if reps > 0 {
-		// Mirror the estimator's effective pool size: GOMAXPROCS when
-		// unset, never more workers than replications.
-		w := workers
-		if w == 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		if w > reps {
-			w = reps
-		}
-		fmt.Printf("replications      : %d (%s backend, %d workers)\n", reps, res.Backend, w)
+		fmt.Printf("replications      : %d (%s backend, %d workers)\n", reps, res.Backend, opts.WorkerCount(reps))
 	}
 	if verbose {
 		// Post-hoc audit: a fresh sequence at the selected interval run

@@ -22,9 +22,9 @@
 //	res, _ := dipe.Estimate(tb.NewSession(src), dipe.DefaultOptions())
 //	fmt.Println(res.Power, res.Interval, res.SampleSize)
 //
-// For many replications at once use EstimateParallel (bit-packed, 64
-// lanes per machine word); to serve estimates over HTTP use NewServer,
-// the entry point behind cmd/dipe-server.
+// For many replications at once use EstimateParallel (lane-parallel,
+// up to 512 replications per compiled session); to serve estimates over
+// HTTP use NewServer, the entry point behind cmd/dipe-server.
 //
 // The package is a thin facade; the implementation lives in the
 // internal packages, each documented with the paper section it

@@ -57,11 +57,12 @@ func main() {
 	for i := 0; i < cycles; i++ {
 		s.StepSampled(counts)
 	}
+	rep := tb.Model.Breakdown(circuit, counts, cycles)
 	fmt.Printf("\ntop consumers (switch/cycle > 1 indicates glitching):\n")
-	fmt.Printf("%-4s %-14s %14s %8s %12s\n", "#", "node", "power", "share", "switch/cyc")
-	for i, b := range tb.Model.TopConsumers(circuit, counts, cycles, 8) {
+	fmt.Printf("%-4s %-14s %14s %8s %12s\n", "#", "node", "dynamic", "share", "switch/cyc")
+	for i, r := range rep.TopRows(8) {
 		fmt.Printf("%-4d %-14s %14s %7.2f%% %12.3f\n",
-			i+1, b.Name, dipe.FormatWatts(b.Power), 100*b.Share,
-			float64(counts[b.Node])/float64(cycles))
+			i+1, r.Name, dipe.FormatWatts(r.Dynamic), 100*r.Share,
+			float64(r.Toggles)/float64(rep.Observations))
 	}
 }

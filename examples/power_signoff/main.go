@@ -69,8 +69,8 @@ func main() {
 	for i := 0; i < cycles; i++ {
 		s.StepSampled(counts)
 	}
-	fmt.Println("4. top consumers:")
-	for i, b := range tb.Model.TopConsumers(circuit, counts, cycles, 5) {
-		fmt.Printf("   %d. %-12s %12s (%.1f%%)\n", i+1, b.Name, dipe.FormatWatts(b.Power), 100*b.Share)
+	fmt.Println("4. top consumers (dynamic + leakage):")
+	for i, r := range tb.Model.Breakdown(circuit, counts, cycles).TopRows(5) {
+		fmt.Printf("   %d. %-12s %12s (%.1f%%)\n", i+1, r.Name, dipe.FormatWatts(r.Dynamic+r.Leakage), 100*r.Share)
 	}
 }

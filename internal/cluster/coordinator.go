@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/delay"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -445,9 +444,6 @@ func (c *Coordinator) EstimateResumable(ctx context.Context, tb *core.Testbench,
 	var rp core.ResumePoint
 	if ckpt != nil {
 		rp = ckpt.ResumePoint()
-		if rp.Interval < 0 {
-			return core.Result{}, fmt.Errorf("cluster: negative interval %d", rp.Interval)
-		}
 	} else {
 		// The up-front local validation (instead of bouncing a bad fixed
 		// interval off every worker as a 400) happens inside
@@ -460,11 +456,7 @@ func (c *Coordinator) EstimateResumable(ctx context.Context, tb *core.Testbench,
 		}
 	}
 
-	res, err := c.sampledPhase(ctx, tb, req, opts, rp.Plan, rp.Interval, rp.SeedSeq, rp.SeedToggles)
-	res.Trials = rp.Trials
-	res.IntervalCapped = rp.Capped
-	res.HiddenCycles += rp.Hidden
-	res.SampledCycles += rp.Sampled
+	res, err := c.sampledPhase(ctx, tb, req, opts, rp)
 	res.Elapsed = time.Since(start)
 	return res, err
 }
@@ -482,34 +474,22 @@ type repRange struct {
 	ch     chan rangeMsg
 }
 
-// sampledPhase is the distributed analogue of parallelTail: it streams
-// sample blocks from one worker per replication range and merges them
-// through core.Merger under the job's sequential stopping rule.
-func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req service.JobRequest, opts core.Options, plan vr.Plan, interval int, seedSeq []float64, seedToggles []uint64) (core.Result, error) {
-	m, err := core.NewMerger(opts)
+// sampledPhase is the distributed sampling phase: it streams sample
+// blocks from one worker per replication range and merges them through
+// core.SamplingPhase, as the in-process estimator does, under the job's
+// sequential stopping rule. Only leases,
+// channels and the per-range barrier are its own.
+func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req service.JobRequest, opts core.Options, rp core.ResumePoint) (core.Result, error) {
+	p, err := core.NewSamplingPhase(ctx, tb, opts, rp)
 	if err != nil {
 		return core.Result{}, err
 	}
-	if opts.ReuseTestSamples {
-		m.Seed(seedSeq)
-	}
-	reps, rounds := m.Reps(), m.Rounds()
-	// Per-node attribution state: the merged blocks' count deltas fold
-	// into one accumulator, and the workers are told the merge loop's
-	// round budget so the final (possibly clipped) block's delta covers
-	// exactly the rounds merged here — the bit-identity contract with
-	// the in-process estimator.
-	var counts []uint64
-	budgetRounds := 0
-	if opts.Breakdown {
-		counts = make([]uint64, tb.Circuit.NumNodes())
-		budgetRounds = (opts.MaxSamples - m.N()) / m.PerRound()
-	}
+	reps, rounds, interval := p.Reps(), p.Rounds(), rp.Interval
 	// Budget ceiling for orphaned streams: strictly more blocks than the
 	// merge loop can consume before its own MaxSamples cutoff fires
 	// (PerRound, not reps: antithetic pairing halves the criterion
 	// samples a round yields, doubling the blocks the budget can fund).
-	maxBlocks := opts.MaxSamples/(m.PerRound()*rounds) + 2
+	maxBlocks := opts.MaxSamples/(p.PerRound()*rounds) + 2
 
 	src, err := c.resolveSource(req.Circuit)
 	if err != nil {
@@ -552,6 +532,7 @@ func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req 
 	ranges := make([]*repRange, k)
 	lanes := make([]int, k)
 	blocks := make([][]float64, k)
+	toggles := make([][]uint64, k)
 
 	tr := obs.TraceFrom(ctx)
 	tr.Event("shard",
@@ -567,105 +548,35 @@ func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req 
 		rg := &repRange{idx: i, lo: b[0], hi: b[1], ch: make(chan rangeMsg, 16)}
 		ranges[i] = rg
 		lanes[i] = b[1] - b[0]
-		go c.runLeasedRange(sctx, js, hash, src, req, opts, plan, interval, rounds, maxBlocks, budgetRounds, rg)
+		go c.runLeasedRange(sctx, js, hash, src, req, opts, rp.Plan, interval, rounds, maxBlocks, p.BudgetRounds(), rg)
 	}
 
-	// Engine naming mirrors core.parallelTail exactly, including the
-	// all-zero-delay upgrade and the backend that observed the sampled
-	// cycles, so a cluster result is indistinguishable from a local one.
-	backend := opts.Backend.Canonical()
-	packedSampled := (opts.Mode.IsZeroDelay() || tb.Delays.AllZero()) && !plan.NeedsCovariate()
-	engineName, delayName := sim.EnginePackedZeroDelay, delay.Zero{}.Name()
-	if packedSampled && backend == sim.BackendCompiled {
-		engineName = sim.EngineCompiledZeroDelay
-	}
-	if !packedSampled {
-		engineName, delayName = sim.EngineEventDriven, tb.Delays.ModelName
-	}
-	result := func(converged bool) core.Result {
-		// Cycle counters follow from the merged prefix alone — warm-up
-		// plus interval hidden cycles and one sampled cycle per merged
-		// round per replication — which matches the single-process
-		// estimator's counters exactly and is independent of how far
-		// ahead workers streamed before cancellation.
-		merged := uint64(m.MergedRounds())
-		if opts.Progress != nil {
-			opts.Progress(m.Progress(interval))
-		}
-		res := core.Result{
-			Power:         m.Estimate(),
-			Interval:      interval,
-			SampleSize:    m.N(),
-			HalfWidth:     m.HalfWidth(),
-			HiddenCycles:  uint64(reps)*uint64(opts.WarmupCycles) + merged*uint64(interval)*uint64(reps),
-			SampledCycles: merged * uint64(reps),
-			Criterion:     m.CriterionName(),
-			Engine:        engineName,
-			Backend:       string(backend),
-			DelayModel:    delayName,
-			Variance:      plan.Label(),
-			CVBeta:        plan.Beta,
-			Converged:     converged,
-		}
-		if opts.Breakdown {
-			// Only merged blocks folded their deltas, so the counts cover
-			// exactly the merged prefix — like the cycle counters, the
-			// report is independent of how far ahead workers streamed.
-			res.Breakdown = core.FinishBreakdown(tb, opts, m, len(seedSeq), seedToggles, counts)
-			if opts.Metrics != nil {
-				opts.Metrics.Power.Observe(res.Breakdown)
-			}
-		}
-		return res
-	}
-
-	for b := 0; !m.Done(); b++ {
-		if err := ctx.Err(); err != nil {
-			return result(false), err
-		}
-		n := m.NextRounds()
-		if n < 1 {
-			return result(false), nil
+	for b := 0; ; b++ {
+		n, err := p.Next(ctx)
+		if err != nil || n < 1 {
+			return p.Finish(), err
 		}
 		// Barrier: block b from every range, in replication order.
 		for i, rg := range ranges {
 			select {
 			case <-ctx.Done():
-				return result(false), ctx.Err()
+				return p.Finish(), ctx.Err()
 			case msg, ok := <-rg.ch:
 				switch {
 				case !ok:
-					return result(false), fmt.Errorf("cluster: range [%d,%d) stream ended before block %d", rg.lo, rg.hi, b)
+					return p.Finish(), fmt.Errorf("cluster: range [%d,%d) stream ended before block %d", rg.lo, rg.hi, b)
 				case msg.err != nil:
-					return result(false), fmt.Errorf("cluster: range [%d,%d): %w", rg.lo, rg.hi, msg.err)
+					return p.Finish(), fmt.Errorf("cluster: range [%d,%d): %w", rg.lo, rg.hi, msg.err)
 				case msg.block.Index != b:
-					return result(false), fmt.Errorf("cluster: range [%d,%d) delivered block %d, want %d", rg.lo, rg.hi, msg.block.Index, b)
-				case opts.Breakdown && len(msg.block.Counts) != len(counts):
-					return result(false), fmt.Errorf("cluster: range [%d,%d) block %d carries %d node counts, want %d",
-						rg.lo, rg.hi, b, len(msg.block.Counts), len(counts))
+					return p.Finish(), fmt.Errorf("cluster: range [%d,%d) delivered block %d, want %d", rg.lo, rg.hi, msg.block.Index, b)
 				}
-				blocks[i] = msg.block.Samples
-				if opts.Breakdown {
-					// Fold the delta as the block is merged; discarded
-					// (post-convergence) blocks never reach this point.
-					for j, d := range msg.block.Counts {
-						counts[j] += d
-					}
-				}
+				blocks[i], toggles[i] = msg.block.Samples, msg.block.Counts
 			}
 		}
-		if err := m.MergeBlock(blocks, lanes, n); err != nil {
-			return result(false), err
-		}
-		tr.Event("merge-round",
-			"rounds", strconv.Itoa(m.MergedRounds()),
-			"samples", strconv.Itoa(m.N()),
-			"halfWidth", strconv.FormatFloat(m.HalfWidth(), 'g', 6, 64))
-		if opts.Progress != nil {
-			opts.Progress(m.Progress(interval))
+		if err := p.Merge(blocks, lanes, n, toggles); err != nil {
+			return p.Finish(), err
 		}
 	}
-	return result(true), nil
 }
 
 // resolveSource finds the provenance for a job circuit.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/delay"
 	"repro/internal/netlist"
@@ -54,14 +55,15 @@ type Options struct {
 	// sample sizes (all = 320 + k*32) indicate the paper does this.
 	ReuseTestSamples bool
 	// Replications is the number of independent replications
-	// EstimateParallel runs concurrently (bit-packed, up to 64 per
-	// machine word). 0 means the default of 64 — one full word. Ignored
-	// by the serial estimators.
+	// EstimateParallel runs concurrently, packed into lane-parallel
+	// sessions (up to 64 lanes per packed session, 512 per compiled
+	// one). 0 means sim.MaxLanes (64); see ReplicationCount. Ignored by
+	// the serial estimators.
 	Replications int
 	// Workers bounds the goroutine pool of EstimateParallel. 0 means
-	// GOMAXPROCS. The estimate is independent of the worker count:
-	// replication seeds are fixed and samples are merged in replication
-	// order.
+	// GOMAXPROCS; see WorkerCount. The estimate is independent of the
+	// worker count: replication seeds are fixed and samples are merged
+	// in replication order.
 	Workers int
 	// Mode selects the power-observation scenario for sampled cycles:
 	// general-delay (event-driven, glitches included — the paper's
@@ -204,14 +206,26 @@ func (o Options) Validate() error {
 	if err := o.Backend.Validate(); err != nil {
 		return err
 	}
-	reps := o.Replications
-	if reps == 0 {
-		reps = sim.MaxLanes
+	return o.Variance.Validate(o.ReplicationCount(), o.Mode.IsZeroDelay())
+}
+
+// ReplicationCount returns the effective replication count of the
+// parallel estimators: Replications, with 0 meaning sim.MaxLanes.
+func (o Options) ReplicationCount() int {
+	if o.Replications == 0 {
+		return sim.MaxLanes
 	}
-	if err := o.Variance.Validate(reps, o.Mode.IsZeroDelay()); err != nil {
-		return err
+	return o.Replications
+}
+
+// WorkerCount returns the goroutine pool size for a range of n
+// replications: Workers, with 0 meaning GOMAXPROCS, never more than n.
+func (o Options) WorkerCount(n int) int {
+	w := o.Workers
+	if w == 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-	return nil
+	return min(w, n)
 }
 
 // Testbench bundles a circuit with its timing and power models — the

@@ -3,30 +3,32 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"strconv"
 	"time"
 
-	"repro/internal/power"
-	"repro/internal/sim"
+	"repro/internal/obs"
 	"repro/internal/stopping"
 	"repro/internal/vectors"
 	"repro/internal/vr"
 )
 
-// This file is the partial-result layer of the parallel estimator,
-// exported so the distributed coordinator (internal/cluster) can shard
-// the replication space across processes while keeping the paper's
+// This file is the sampling phase of the parallel estimator, exported
+// so the distributed coordinator (internal/cluster) can shard the
+// replication space across processes while keeping the paper's
 // sequential stopping rule statistically — and bit-for-bit — intact:
 //
+//   - StreamReplications runs a contiguous sub-range of the replication
+//     space at a fixed interval and emits its samples in round-blocks.
+//     The in-process estimator runs one stream over the whole space; a
+//     cluster worker runs one per leased range.
 //   - Merger owns the pooled stopping criterion and merges blocks of
 //     per-replication samples in the canonical order (round-major,
-//     ascending replication index), exactly as parallelTail does
-//     in-process. parallelTail itself is built on it, so a remote merge
-//     that feeds the same sample values cannot diverge from the local
-//     estimator.
-//   - StreamReplications runs a contiguous sub-range of the replication
-//     space at a fixed interval and emits its samples in round-blocks —
-//     the worker side of the coordinator/worker protocol.
+//     ascending replication index).
+//   - SamplingPhase drives a Merger from a ResumePoint: seeding, the
+//     per-block order, the engine label, cycle counters, attribution and
+//     telemetry. The in-process estimator and the coordinator both merge
+//     through it, so a remote merge that feeds the same sample values
+//     cannot diverge from the local estimator.
 //
 // Determinism contract: replication r is always seeded baseSeed+1+r, a
 // replication's sample stream depends only on its own seed (packed
@@ -61,22 +63,15 @@ type Merger struct {
 }
 
 // NewMerger builds the pooled stopping state for an EstimateParallel-
-// shaped run: opts.Replications replications (default sim.MaxLanes),
-// block cadence max(1, CheckEvery/Replications) rounds, sample budget
-// MaxSamples, and the merge-side transform Options.Variance selects.
-// opts must validate.
+// shaped run: opts.ReplicationCount() replications, block cadence
+// max(1, CheckEvery/replications) rounds, sample budget MaxSamples, and
+// the merge-side transform Options.Variance selects. opts must validate.
 func NewMerger(opts Options) (*Merger, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	reps := opts.Replications
-	if reps == 0 {
-		reps = sim.MaxLanes
-	}
-	rounds := opts.CheckEvery / reps
-	if rounds < 1 {
-		rounds = 1
-	}
+	reps := opts.ReplicationCount()
+	rounds := max(1, opts.CheckEvery/reps)
 	m := &Merger{
 		crit:       opts.NewCriterion(opts.Spec),
 		reps:       reps,
@@ -219,33 +214,164 @@ func (m *Merger) Progress(interval int) Progress {
 	}
 }
 
-// FinishBreakdown builds the per-node attribution report for a sampling
-// phase whose merged samples produced the given transition counts. It
-// folds the phase-1 seed toggles into total in place — exactly when the
-// seed sequence also seeded the criterion (opts.ReuseTestSamples), so
-// counts and samples stay in lockstep — computes the observation
-// denominator (seeded samples plus one sample per replication per
-// merged round), and ranks the report against the testbench's power
-// model. Both the in-process tail and the cluster coordinator finish
-// through here, which is what makes an N-worker breakdown bit-identical
-// to the local one.
-func FinishBreakdown(tb *Testbench, opts Options, m *Merger, seedLen int, seedToggles, total []uint64) *power.BreakdownReport {
-	observed := uint64(m.MergedRounds()) * uint64(m.Reps())
-	if opts.ReuseTestSamples && len(seedToggles) == len(total) {
-		for i, n := range seedToggles {
-			total[i] += n
-		}
-		observed += uint64(seedLen)
+// SamplingPhase is the one merge loop of the parallel estimator's
+// sampling phase. Callers deliver blocks and SamplingPhase does the rest:
+//
+//	for {
+//		n, err := p.Next(ctx)
+//		if err != nil || n < 1 {
+//			return p.Finish(), err
+//		}
+//		// ...n rounds from every replication range, in range order...
+//		if err := p.Merge(samples, lanes, n, toggles); err != nil {
+//			return p.Finish(), err
+//		}
+//	}
+//
+// The in-process estimator feeds it from one local StreamReplications,
+// the cluster coordinator from its leased worker streams. The embedded
+// Merger exposes the pooled state (Reps, Rounds, N, ...).
+type SamplingPhase struct {
+	*Merger
+	tb                 *Testbench
+	opts               Options
+	rp                 ResumePoint
+	tr                 *obs.Trace
+	engine, delayModel string
+	budgetRounds       int      // round budget the streams clip toggle deltas to (breakdown only)
+	counts             []uint64 // folded toggle deltas of the merged blocks (breakdown only)
+}
+
+// NewSamplingPhase starts the sampling phase of an EstimateParallel-
+// shaped run at rp's interval under rp's plan. The criterion is seeded
+// with rp.SeedSeq under opts.ReuseTestSamples. ctx supplies the trace
+// the merge-round events go to.
+func NewSamplingPhase(ctx context.Context, tb *Testbench, opts Options, rp ResumePoint) (*SamplingPhase, error) {
+	if rp.Interval < 0 {
+		return nil, fmt.Errorf("core: negative interval %d", rp.Interval)
 	}
-	return tb.Model.Breakdown(tb.Circuit, total, observed)
+	m, err := NewMerger(opts)
+	if err != nil {
+		return nil, err
+	}
+	if opts.ReuseTestSamples {
+		m.Seed(rp.SeedSeq)
+	}
+	p := &SamplingPhase{Merger: m, tb: tb, opts: opts, rp: rp, tr: obs.TraceFrom(ctx)}
+	p.engine, p.delayModel, _ = sampledEngine(tb, opts, rp.Plan)
+	if opts.Breakdown {
+		p.counts = make([]uint64, tb.Circuit.NumNodes())
+		p.budgetRounds = (opts.MaxSamples - m.N()) / m.PerRound()
+	}
+	return p, nil
+}
+
+// BudgetRounds returns the merge side's total round budget under
+// Options.Breakdown (0 otherwise): the budgetRounds argument of
+// StreamReplications, which keeps the toggle deltas of a budget-clipped
+// final block exact.
+func (p *SamplingPhase) BudgetRounds() int { return p.budgetRounds }
+
+// Next reports how many rounds the next block merges. It returns 0 once
+// the stopping rule is met or the sample budget cannot fund another
+// round, and ctx.Err() if ctx is done.
+func (p *SamplingPhase) Next(ctx context.Context) (int, error) {
+	if p.Done() {
+		return 0, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return max(0, p.NextRounds()), nil
+}
+
+// Merge merges n rounds of one block (see Merger.MergeBlock) and folds
+// the ranges' toggle deltas (one per range under Options.Breakdown,
+// ignored otherwise), then records the merge-round trace event and
+// reports Progress.
+func (p *SamplingPhase) Merge(samples [][]float64, lanes []int, n int, toggles [][]uint64) error {
+	if p.counts != nil {
+		if len(toggles) != len(samples) {
+			return fmt.Errorf("core: %d toggle deltas for %d sample ranges", len(toggles), len(samples))
+		}
+		for i, d := range toggles {
+			if len(d) != len(p.counts) {
+				return fmt.Errorf("core: range %d carries %d node counts, want %d", i, len(d), len(p.counts))
+			}
+		}
+	}
+	if err := p.MergeBlock(samples, lanes, n); err != nil {
+		return err
+	}
+	if p.counts != nil {
+		for _, d := range toggles {
+			for j, c := range d {
+				p.counts[j] += c
+			}
+		}
+	}
+	p.tr.Event("merge-round",
+		"rounds", strconv.Itoa(p.MergedRounds()),
+		"samples", strconv.Itoa(p.N()),
+		"halfWidth", strconv.FormatFloat(p.HalfWidth(), 'g', 6, 64))
+	if p.opts.Progress != nil {
+		p.opts.Progress(p.Progress(p.rp.Interval))
+	}
+	return nil
+}
+
+// Finish ends the phase: it reports a final Progress snapshot and
+// returns the Result of the merged prefix, with rp's selection outcome
+// and pre-sampling cycles restored. Cycle counters follow the canonical
+// schedule — warm-up, then interval hidden cycles and one sampled cycle
+// per merged round per replication — so they do not depend on how far
+// any stream ran ahead of the merge. Call it once.
+func (p *SamplingPhase) Finish() Result {
+	if p.opts.Progress != nil {
+		p.opts.Progress(p.Progress(p.rp.Interval))
+	}
+	reps, merged := uint64(p.Reps()), uint64(p.MergedRounds())
+	res := Result{
+		Power:          p.Estimate(),
+		Interval:       p.rp.Interval,
+		IntervalCapped: p.rp.Capped,
+		Trials:         p.rp.Trials,
+		SampleSize:     p.N(),
+		HalfWidth:      p.HalfWidth(),
+		HiddenCycles:   p.rp.Hidden + reps*uint64(p.opts.WarmupCycles) + merged*uint64(p.rp.Interval)*reps,
+		SampledCycles:  p.rp.Sampled + merged*reps,
+		Criterion:      p.CriterionName(),
+		Engine:         p.engine,
+		Backend:        string(p.opts.Backend.Canonical()),
+		DelayModel:     p.delayModel,
+		Variance:       p.rp.Plan.Label(),
+		CVBeta:         p.rp.Plan.Beta,
+		Converged:      p.Done(),
+	}
+	if p.counts != nil {
+		// The phase-1 toggles join the counts exactly when the phase-1
+		// samples seeded the criterion, so counts and samples stay in
+		// lockstep.
+		observed := merged * reps
+		if p.opts.ReuseTestSamples && len(p.rp.SeedToggles) == len(p.counts) {
+			for i, c := range p.rp.SeedToggles {
+				p.counts[i] += c
+			}
+			observed += uint64(len(p.rp.SeedSeq))
+		}
+		res.Breakdown = p.tb.Model.Breakdown(p.tb.Circuit, p.counts, observed)
+		if p.opts.Metrics != nil {
+			p.opts.Metrics.Power.Observe(res.Breakdown)
+		}
+	}
+	return res
 }
 
 // SplitRange partitions [lo, hi) into k contiguous sub-ranges whose
 // sizes differ by at most one, in ascending order. It is THE partition
-// rule of the replication space: parallelTail's goroutine shards,
-// StreamReplications' packed sessions and the cluster coordinator's
-// worker ranges all use it, which is what keeps every layout merging
-// the same samples at the same boundaries.
+// rule of the replication space: StreamReplications' lane sessions and
+// the cluster coordinator's worker ranges both use it, which is what
+// keeps every layout merging the same samples at the same boundaries.
 func SplitRange(lo, hi, k int) [][2]int {
 	out := make([][2]int, 0, k)
 	next := lo
@@ -309,11 +435,13 @@ type ReplicationBlock struct {
 // StreamReplications runs replications [lo, hi) of an EstimateParallel-
 // shaped run at a fixed independence interval and emits their power
 // samples in blocks of `rounds` rounds. Replication r is seeded
-// baseSeed+1+r — the same mapping parallelTail uses, including the
-// plan's antithetic mirroring of odd replications — so the emitted
-// samples are bit-identical to the corresponding lanes of a single-
-// process run, regardless of how [lo, hi) is packed into 64-lane words
-// or spread over opts.Workers goroutines.
+// baseSeed+1+r, including the plan's antithetic mirroring of odd
+// replications, so the emitted samples are bit-identical to the
+// corresponding lanes of a single-process run, regardless of how
+// [lo, hi) is packed into lane sessions or spread over opts.Workers
+// goroutines. The in-process estimator is one stream over [0, reps);
+// emit runs synchronously, so a block is computed only after the
+// previous one has been handed over.
 //
 // plan is the resolved variance-reduction plan (ResolvePlan): under the
 // control-variate mode each emitted sample is already transformed
@@ -358,23 +486,18 @@ func StreamReplications(ctx context.Context, tb *Testbench, src vectors.Factory,
 		return fmt.Errorf("core: negative WarmupCycles %d", opts.WarmupCycles)
 	}
 	n := hi - lo
-	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	useCov := plan.NeedsCovariate()
-	packedSampled := (opts.Mode.IsZeroDelay() || tb.Delays.AllZero()) && !useCov
-
-	// The same shard layout as parallelTail (newShards), over the
-	// sub-range: contiguous ascending so block assembly is
+	workers := opts.WorkerCount(n)
+	// Contiguous ascending shards, so block assembly is
 	// replication-ordered.
-	shards, err := newShards(tb, src, baseSeed, opts, plan, lo, hi, workers, packedSampled, useCov)
+	shards, err := newShards(tb, src, baseSeed, opts, plan, lo, hi, workers)
 	if err != nil {
 		return err
 	}
+	obs.TraceFrom(ctx).Event("shard",
+		"shards", strconv.Itoa(len(shards)),
+		"workers", strconv.Itoa(workers),
+		"replications", strconv.Itoa(n),
+		"interval", strconv.Itoa(interval))
 	// Per-node attribution: each shard counts into a private accumulator
 	// and keeps a per-block snapshot (`snap`) taken after the rounds the
 	// merge side will actually consume, so the emitted deltas track the
@@ -426,12 +549,12 @@ func StreamReplications(ctx context.Context, tb *Testbench, src vectors.Factory,
 				sh.ps.StepHiddenN(interval)
 				block := sh.powers[t*sh.lanes : (t+1)*sh.lanes]
 				switch {
-				case useCov:
+				case sh.cov != nil:
 					sh.ps.StepSampledBoth(sh.engine, weights, block, sh.cov)
 					for k, x := range block {
 						block[k] = plan.Apply(x, sh.cov[k])
 					}
-				case packedSampled:
+				case sh.engine == nil:
 					sh.ps.StepSampled(weights, block)
 				default:
 					sh.ps.StepSampledWith(sh.engine, weights, block)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bench89"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/vectors"
+	"repro/internal/vr"
 )
 
 // golden holds results captured from the estimator BEFORE the power-
@@ -20,34 +22,75 @@ import (
 // computation through the PowerEngine interface without changing a
 // single arithmetic step.
 type golden struct {
-	power           float64
-	interval        int
-	samples         int
-	halfWidth       float64
-	hidden, sampled uint64
+	power             float64
+	interval          int
+	samples           int
+	halfWidth         float64
+	hidden, sampled   uint64
+	engine, delayName string
+	toggles           uint64 // breakdown toggle total over the ranked rows (0 = off)
 }
 
+var defaultDelay = delay.DefaultFanoutLoaded().Name()
+
 var goldenSerial = map[string]golden{
-	"s27":  {4.6707915145985263e-05, 0, 4384, 2.2656250000000059e-06, 512, 4384},
-	"s298": {0.00035740885416666712, 1, 960, 1.7734375000000009e-05, 1472, 1280},
-	"s832": {0.0011258945312499998, 1, 640, 5.6015624999999859e-05, 1152, 960},
+	"s27":  {4.6707915145985263e-05, 0, 4384, 2.2656250000000059e-06, 512, 4384, sim.EngineEventDriven, defaultDelay, 0},
+	"s298": {0.00035740885416666712, 1, 960, 1.7734375000000009e-05, 1472, 1280, sim.EngineEventDriven, defaultDelay, 0},
+	"s832": {0.0011258945312499998, 1, 640, 5.6015624999999859e-05, 1152, 960, sim.EngineEventDriven, defaultDelay, 0},
 }
 
 var goldenParallel = map[string]golden{
-	"s27":  {4.5485733695652114e-05, 0, 1472, 2.2656250000000026e-06, 33280, 1472},
-	"s298": {0.0003563359375000007, 1, 2560, 1.6640625000000027e-05, 35840, 2880},
-	"s832": {0.0011188454861111126, 1, 1152, 4.7187500000000137e-05, 34432, 1472},
+	"s27":                           {4.5485733695652114e-05, 0, 1472, 2.2656250000000026e-06, 33280, 1472, sim.EngineEventDriven, defaultDelay, 0},
+	"s298":                          {0.0003563359375000007, 1, 2560, 1.6640625000000027e-05, 35840, 2880, sim.EngineEventDriven, defaultDelay, 0},
+	"s832":                          {0.0011188454861111126, 1, 1152, 4.7187500000000137e-05, 34432, 1472, sim.EngineEventDriven, defaultDelay, 0},
+	"s298/zero-delay":               {0.00029118447580645136, 1, 1984, 1.4531250000000031e-05, 35264, 2304, sim.EngineCompiledZeroDelay, "zero", 0},
+	"s298/antithetic":               {0.00036041068412162185, 1, 1184, 1.7031250000000011e-05, 35328, 2368, sim.EngineEventDriven, defaultDelay, 0},
+	"s298/control-variate":          {0.0003644326478164836, 1, 320, 1.234889620757332e-05, 328512, 640, sim.EngineEventDriven, defaultDelay, 0},
+	"s298/control-variate-unseeded": {0.00036477037304260597, 1, 192, 1.4686594741796042e-05, 328704, 832, sim.EngineEventDriven, defaultDelay, 0},
+	"s298/breakdown":                {0.0003563359375000007, 1, 2560, 1.6640625000000027e-05, 35840, 2880, sim.EngineEventDriven, defaultDelay, 78664},
+	"s298/clipped":                  {0.00034419560185185209, 1, 432, 4.6093750000000073e-05, 9136, 752, sim.EngineEventDriven, defaultDelay, 12817},
+}
+
+// goldenVariants configures the goldenParallel rows keyed
+// "circuit/variant": seed 42, 64 replications and default options,
+// changed as listed. Captured from the estimator before the in-process
+// sampling phase moved onto StreamReplications.
+var goldenVariants = map[string]func(*Options){
+	"s298/zero-delay":      func(o *Options) { o.Mode = power.ModeZeroDelay },
+	"s298/antithetic":      func(o *Options) { o.Variance.Mode = vr.ModeAntithetic },
+	"s298/control-variate": func(o *Options) { o.Variance.Mode = vr.ModeControlVariate },
+	// Converges on the seeded phase-1 samples alone above; unseeded, the
+	// covariate-corrected sampling phase merges three rounds.
+	"s298/control-variate-unseeded": func(o *Options) {
+		o.Variance.Mode, o.ReuseTestSamples = vr.ModeControlVariate, false
+	},
+	"s298/breakdown": func(o *Options) { o.Breakdown = true },
+	// 16 replications at CheckEvery 64 make 4-round blocks; the 120
+	// samples left after the 320 seeded ones fund 7 rounds, so the
+	// budget clips the second block to 3 rounds and the run stops
+	// unconverged.
+	"s298/clipped": func(o *Options) {
+		o.Replications, o.CheckEvery, o.MaxSamples, o.Breakdown = 16, 64, 440, true
+	},
 }
 
 func checkGolden(t *testing.T, name, kind string, res Result, want golden) {
 	t.Helper()
+	var toggles uint64
+	if res.Breakdown != nil {
+		for _, r := range res.Breakdown.Rows {
+			toggles += r.Toggles
+		}
+	}
 	if res.Power != want.power || res.Interval != want.interval ||
 		res.SampleSize != want.samples || res.HalfWidth != want.halfWidth ||
-		res.HiddenCycles != want.hidden || res.SampledCycles != want.sampled {
-		t.Errorf("%s %s: got (P=%.17g II=%d n=%d hw=%.17g h=%d s=%d), want (P=%.17g II=%d n=%d hw=%.17g h=%d s=%d)",
+		res.HiddenCycles != want.hidden || res.SampledCycles != want.sampled ||
+		res.Engine != want.engine || res.DelayModel != want.delayName || toggles != want.toggles {
+		t.Errorf("%s %s: got (P=%.17g II=%d n=%d hw=%.17g h=%d s=%d %s/%s toggles=%d), want (P=%.17g II=%d n=%d hw=%.17g h=%d s=%d %s/%s toggles=%d)",
 			name, kind, res.Power, res.Interval, res.SampleSize, res.HalfWidth,
-			res.HiddenCycles, res.SampledCycles,
-			want.power, want.interval, want.samples, want.halfWidth, want.hidden, want.sampled)
+			res.HiddenCycles, res.SampledCycles, res.Engine, res.DelayModel, toggles,
+			want.power, want.interval, want.samples, want.halfWidth, want.hidden, want.sampled,
+			want.engine, want.delayName, want.toggles)
 	}
 }
 
@@ -83,6 +126,29 @@ func TestGeneralDelayBitIdenticalToPreRefactor(t *testing.T) {
 		if pres.Engine != sim.EngineEventDriven || pres.DelayModel != tb.Delays.ModelName {
 			t.Errorf("%s parallel: engine %q delay %q", name, pres.Engine, pres.DelayModel)
 		}
+	}
+}
+
+// TestParallelVariantGoldens pins the sampling phase's variant paths —
+// zero-delay, antithetic, control-variate, breakdown and a budget-
+// clipped unconverged run — to recorded results, bit for bit.
+func TestParallelVariantGoldens(t *testing.T) {
+	for name, set := range goldenVariants {
+		circuit, _, _ := strings.Cut(name, "/")
+		c := bench89.MustGet(circuit)
+		opts := DefaultOptions()
+		opts.Replications = 64
+		set(&opts)
+		res, err := EstimateParallel(DefaultTestbench(c), vectors.IIDFactory(len(c.Inputs), 0.5), 42, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, ok := goldenParallel[name]
+		if !ok {
+			t.Errorf("%s: no golden row", name)
+			continue
+		}
+		checkGolden(t, name, "parallel", res, want)
 	}
 }
 

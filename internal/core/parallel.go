@@ -2,14 +2,10 @@ package core
 
 import (
 	"context"
-	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/delay"
-	"repro/internal/obs"
-	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/vectors"
 	"repro/internal/vr"
@@ -36,16 +32,14 @@ type shard struct {
 // [lo, hi): SplitRange into at least `workers` shards (so the pool is
 // saturated) and enough that none exceeds the backend's lane width.
 // Replication r keeps its globally fixed seed baseSeed+1+r regardless
-// of the layout, and lane counts differ by at most one. Both
-// parallelTail and StreamReplications build their shards here, so
-// in-process and cluster runs cannot drift apart.
-func newShards(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, plan vr.Plan, lo, hi, workers int, packedSampled, useCov bool) ([]*shard, error) {
+// of the layout, and lane counts differ by at most one. Every sampling
+// phase — in-process or on a cluster worker — runs through
+// StreamReplications and so through this layout.
+func newShards(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, plan vr.Plan, lo, hi, workers int) ([]*shard, error) {
 	backend := opts.Backend.Canonical()
+	_, _, packedSampled := sampledEngine(tb, opts, plan)
 	n := hi - lo
-	nShards := workers
-	if min := (n + sim.MaxLanesFor(backend) - 1) / sim.MaxLanesFor(backend); nShards < min {
-		nShards = min
-	}
+	nShards := max(workers, (n+sim.MaxLanesFor(backend)-1)/sim.MaxLanesFor(backend))
 	shards := make([]*shard, 0, nShards)
 	for _, b := range SplitRange(lo, hi, nShards) {
 		lanes := b[1] - b[0]
@@ -66,7 +60,7 @@ func newShards(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options,
 		if !packedSampled {
 			sh.engine = sim.NewEventDriven(tb.Circuit, tb.Delays)
 		}
-		if useCov {
+		if plan.NeedsCovariate() {
 			sh.cov = make([]float64, lanes)
 		}
 		shards = append(shards, sh)
@@ -74,18 +68,40 @@ func newShards(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options,
 	return shards, nil
 }
 
+// sampledEngine names the engine that observes a run's sampled cycles
+// and reports whether they stay on the lane session (packed). Under
+// zero-delay mode they do, unless a control variate needs the scalar
+// covariate; a general-delay run whose delay table is all-zero takes
+// the same upgrade, since its transition sets are identical (see
+// delay.Table.AllZero; power sums may differ from per-lane event-driven
+// simulation in the last ulp because the summation order changes). A
+// compiled session reports the compiled zero-delay engine. Otherwise
+// each shard hands its lanes to a scalar event-driven simulator under
+// the testbench's delay model. newShards and SamplingPhase both decide
+// here, so the reported engine is always the one that ran.
+func sampledEngine(tb *Testbench, opts Options, plan vr.Plan) (engine, delayModel string, packed bool) {
+	if (!opts.Mode.IsZeroDelay() && !tb.Delays.AllZero()) || plan.NeedsCovariate() {
+		return sim.EngineEventDriven, tb.Delays.ModelName, false
+	}
+	if opts.Backend.Canonical() == sim.BackendCompiled {
+		return sim.EngineCompiledZeroDelay, delay.Zero{}.Name(), true
+	}
+	return sim.EnginePackedZeroDelay, delay.Zero{}.Name(), true
+}
+
 // EstimateParallel runs the DIPE flow with many independent replications
 // advanced concurrently. Interval selection runs once on a scalar
 // session seeded baseSeed (exactly like Estimate); sampling then shards
 // opts.Replications independent sequences — replication r is seeded
 // baseSeed+1+r, a fixed lane→seed mapping — across a goroutine worker
-// pool. Each worker drives a bit-packed zero-delay session (up to 64
-// replications per machine word) through the hidden cycles of the
-// independence interval and hands each lane to a scalar event-driven
-// simulator on sampled cycles. Samples are merged into the stopping
-// criterion deterministically (round-major, in replication order), so
-// the result is reproducible and independent of opts.Workers and of
-// goroutine scheduling.
+// pool. Each worker drives a lane-parallel session (opts.Backend: up to
+// 512 replications per compiled session, 64 per packed one) through the
+// hidden cycles of the independence interval and, under general-delay
+// mode, hands each lane to a scalar event-driven simulator on sampled
+// cycles. Samples are merged into the stopping criterion
+// deterministically (round-major, in replication order), so the result
+// is reproducible and independent of opts.Workers and of goroutine
+// scheduling.
 //
 // Compared to Estimate, the power samples come from Replications
 // parallel sequences instead of one long sequence; samples remain
@@ -134,194 +150,6 @@ func EstimateParallelWithIntervalCtx(ctx context.Context, tb *Testbench, src vec
 	res, err := EstimateParallelResumeCtx(ctx, tb, src, baseSeed, opts, rp)
 	res.Elapsed = time.Since(start)
 	return res, err
-}
-
-// parallelTail runs the parallel sampling/stopping phase at a fixed
-// interval, optionally seeded with an already-collected random sequence
-// (consumed only when opts.ReuseTestSamples is set, as in estimateTail).
-// On cancellation it returns the partial result together with ctx.Err().
-//
-// Engine selection: under zero-delay mode sampled cycles run entirely
-// word-parallel (PackedSession.StepSampled) and no scalar simulator is
-// built at all; under general-delay mode each shard owns a scalar
-// event-driven engine and lanes are extracted per sampled cycle. A
-// general-delay run whose delay table is all-zero is upgraded to the
-// packed engine too — the transition sets are identical (see
-// delay.Table.AllZero), though power sums may differ from per-lane
-// event-driven simulation in the last ulp because the summation order
-// changes.
-func parallelTail(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, interval int, seed []float64, seedToggles []uint64, plan vr.Plan) (Result, error) {
-	reps := opts.Replications
-	if reps == 0 {
-		reps = sim.MaxLanes
-	}
-	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > reps {
-		workers = reps
-	}
-	useCov := plan.NeedsCovariate()
-	backend := opts.Backend.Canonical()
-	packedSampled := (opts.Mode.IsZeroDelay() || tb.Delays.AllZero()) && !useCov
-	// The reported engine must track both the sampled-phase upgrade
-	// (including the implicit one a general-delay run takes when its
-	// delay table is all-zero — see delay.Table.AllZero) AND the backend
-	// that actually observed the sampled cycles: a compiled-backend run
-	// whose sampled phase stays word-parallel reports the compiled
-	// zero-delay engine, not the packed interpreter.
-	engineName, delayName := sim.EnginePackedZeroDelay, delay.Zero{}.Name()
-	if packedSampled && backend == sim.BackendCompiled {
-		engineName = sim.EngineCompiledZeroDelay
-	}
-	if !packedSampled {
-		engineName, delayName = sim.EngineEventDriven, tb.Delays.ModelName
-	}
-
-	shards, err := newShards(tb, src, baseSeed, opts, plan, 0, reps, workers, packedSampled, useCov)
-	if err != nil {
-		return Result{}, err
-	}
-	tr := obs.TraceFrom(ctx)
-	tr.Event("shard",
-		"shards", strconv.Itoa(len(shards)),
-		"workers", strconv.Itoa(workers),
-		"replications", strconv.Itoa(reps),
-		"interval", strconv.Itoa(interval))
-
-	// Warm every replication up from reset in parallel.
-	runShards(shards, workers, func(sh *shard) {
-		sh.ps.StepHiddenN(opts.WarmupCycles)
-	})
-
-	// The pooled stopping state is the exported Merger — the same code
-	// the distributed coordinator merges remote partial results through —
-	// so in-process and cluster runs share one merge order and one budget
-	// rule by construction.
-	m, err := NewMerger(opts)
-	if err != nil {
-		return Result{}, err
-	}
-	if opts.ReuseTestSamples {
-		m.Seed(seed)
-	}
-
-	// Sampling proceeds in blocks of `rounds` rounds; one round yields
-	// one sample per replication. Workers fill their shard's power
-	// buffers concurrently; the merge into the criterion is single-
-	// threaded and ordered (round-major, replication order).
-	rounds := m.Rounds()
-	shardPowers := make([][]float64, len(shards))
-	shardLanes := make([]int, len(shards))
-	for i, sh := range shards {
-		sh.powers = make([]float64, rounds*sh.lanes)
-		shardPowers[i] = sh.powers
-		shardLanes[i] = sh.lanes
-	}
-	// Per-node attribution rides on the sessions' own accumulators: each
-	// shard counts into a private array (no write contention) and the
-	// arrays are summed once at the end. Integer addition is associative,
-	// so the totals are independent of the shard layout. The block loop
-	// steps exactly the rounds the merger consumes, so at any exit the
-	// accumulated counts cover exactly the merged samples.
-	var shardCounts [][]uint64
-	if opts.Breakdown {
-		shardCounts = make([][]uint64, len(shards))
-		for i, sh := range shards {
-			shardCounts[i] = make([]uint64, tb.Circuit.NumNodes())
-			sh.ps.AccumulateToggles(shardCounts[i])
-		}
-	}
-	weights := tb.Weights()
-	result := func(converged bool) Result {
-		var hidden, sampled uint64
-		for _, sh := range shards {
-			h, s := sh.ps.CycleCounts()
-			hidden += h
-			sampled += s
-		}
-		// Every exit fires a final Progress snapshot so long-running
-		// callers (the dipe-server job manager) never show a stale last
-		// block after convergence, budget exhaustion or cancellation.
-		if opts.Progress != nil {
-			opts.Progress(m.Progress(interval))
-		}
-		res := Result{
-			Power:         m.Estimate(),
-			Interval:      interval,
-			SampleSize:    m.N(),
-			HalfWidth:     m.HalfWidth(),
-			HiddenCycles:  hidden,
-			SampledCycles: sampled,
-			Criterion:     m.CriterionName(),
-			Engine:        engineName,
-			Backend:       string(backend),
-			DelayModel:    delayName,
-			Variance:      plan.Label(),
-			CVBeta:        plan.Beta,
-			Converged:     converged,
-		}
-		if opts.Breakdown {
-			res.Breakdown = foldBreakdown(tb, opts, m, seed, seedToggles, shardCounts)
-			if opts.Metrics != nil {
-				opts.Metrics.Power.Observe(res.Breakdown)
-			}
-		}
-		return res
-	}
-	for !m.Done() {
-		if err := ctx.Err(); err != nil {
-			return result(false), err
-		}
-		// Run as many whole rounds as the sample budget allows (one round
-		// is the reps-sample granularity of the parallel scheme); give up
-		// unconverged only when not even one more round fits.
-		n := m.NextRounds()
-		if n < 1 {
-			return result(false), nil
-		}
-		runShards(shards, workers, func(sh *shard) {
-			for t := 0; t < n; t++ {
-				sh.ps.StepHiddenN(interval)
-				block := sh.powers[t*sh.lanes : (t+1)*sh.lanes]
-				switch {
-				case useCov:
-					sh.ps.StepSampledBoth(sh.engine, weights, block, sh.cov)
-					for k, x := range block {
-						block[k] = plan.Apply(x, sh.cov[k])
-					}
-				case packedSampled:
-					sh.ps.StepSampled(weights, block)
-				default:
-					sh.ps.StepSampledWith(sh.engine, weights, block)
-				}
-			}
-		})
-		if err := m.MergeBlock(shardPowers, shardLanes, n); err != nil {
-			return result(false), err
-		}
-		tr.Event("merge-round",
-			"rounds", strconv.Itoa(m.MergedRounds()),
-			"samples", strconv.Itoa(m.N()),
-			"halfWidth", strconv.FormatFloat(m.HalfWidth(), 'g', 6, 64))
-		if opts.Progress != nil {
-			opts.Progress(m.Progress(interval))
-		}
-	}
-	return result(true), nil
-}
-
-// foldBreakdown sums the per-shard accumulators and finishes the
-// attribution report through the shared FinishBreakdown seam.
-func foldBreakdown(tb *Testbench, opts Options, m *Merger, seed []float64, seedToggles []uint64, shardCounts [][]uint64) *power.BreakdownReport {
-	total := make([]uint64, tb.Circuit.NumNodes())
-	for _, cnt := range shardCounts {
-		for i, n := range cnt {
-			total[i] += n
-		}
-	}
-	return FinishBreakdown(tb, opts, m, len(seed), seedToggles, total)
 }
 
 // runShards applies fn to every shard with at most `workers` goroutines

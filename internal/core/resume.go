@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -119,19 +120,41 @@ func EstimateParallelResume(tb *Testbench, src vectors.Factory, baseSeed int64, 
 // resumes an interrupted run without repeating interval selection or
 // plan calibration, and determinism guarantees the resumed Result is
 // bit-identical to the uninterrupted one.
+//
+// The phase is one local StreamReplications over [0, reps) merged
+// through SamplingPhase, block by block as the stream produces them;
+// emit ends the stream as soon as the stopping rule or the budget ends
+// the phase, so no block is computed that the merge would not consume.
+// On cancellation it returns the partial result together with
+// ctx.Err().
 func EstimateParallelResumeCtx(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, rp ResumePoint) (Result, error) {
-	if err := opts.Validate(); err != nil {
+	start := time.Now()
+	p, err := NewSamplingPhase(ctx, tb, opts, rp)
+	if err != nil {
 		return Result{}, err
 	}
-	if rp.Interval < 0 {
-		return Result{}, fmt.Errorf("core: negative interval %d", rp.Interval)
+	n, err := p.Next(ctx)
+	if err == nil && n > 0 {
+		lanes := []int{p.Reps()}
+		err = StreamReplications(ctx, tb, src, baseSeed, opts, rp.Plan, rp.Interval, 0, lanes[0], p.Rounds(), 0, 0, p.BudgetRounds(),
+			func(blk ReplicationBlock) error {
+				err := p.Merge([][]float64{blk.Samples}, lanes, n, [][]uint64{blk.Toggles})
+				if err == nil {
+					if n, err = p.Next(ctx); err == nil && n < 1 {
+						err = errPhaseDone
+					}
+				}
+				return err
+			})
+		if err == errPhaseDone {
+			err = nil
+		}
 	}
-	start := time.Now()
-	res, err := parallelTail(ctx, tb, src, baseSeed, opts, rp.Interval, rp.SeedSeq, rp.SeedToggles, rp.Plan)
-	res.Trials = rp.Trials
-	res.IntervalCapped = rp.Capped
-	res.HiddenCycles += rp.Hidden
-	res.SampledCycles += rp.Sampled
+	res := p.Finish()
 	res.Elapsed = time.Since(start)
 	return res, err
 }
+
+// errPhaseDone ends an in-process stream once the sampling phase is
+// over.
+var errPhaseDone = errors.New("core: sampling phase done")

@@ -140,65 +140,6 @@ func (m *Model) EnergyPerTransition(id netlist.NodeID) float64 {
 	return m.Caps[id] * m.Supply.VDD * m.Supply.VDD / 2
 }
 
-// PowerFromCounts converts accumulated per-node transition counts over
-// `cycles` clock cycles into average power in watts.
-func (m *Model) PowerFromCounts(counts []uint64, cycles int) float64 {
-	if cycles <= 0 {
-		return 0
-	}
-	var sw float64 // total switched capacitance
-	for i, n := range counts {
-		sw += m.Caps[i] * float64(n)
-	}
-	return sw * m.Supply.VDD * m.Supply.VDD / (2 * m.Supply.ClockPeriod * float64(cycles))
-}
-
-// Breakdown is a per-node share of total average power, for reporting.
-type Breakdown struct {
-	Node  netlist.NodeID
-	Name  string
-	Power float64 // watts
-	Share float64 // fraction of total
-}
-
-// TopConsumers ranks nodes by average power given accumulated transition
-// counts over `cycles` cycles and returns the top n entries.
-func (m *Model) TopConsumers(c *netlist.Circuit, counts []uint64, cycles, n int) []Breakdown {
-	if cycles <= 0 || n <= 0 {
-		return nil
-	}
-	k := m.Supply.VDD * m.Supply.VDD / (2 * m.Supply.ClockPeriod * float64(cycles))
-	all := make([]Breakdown, 0, len(counts))
-	total := 0.0
-	for i, cnt := range counts {
-		p := m.Caps[i] * float64(cnt) * k
-		total += p
-		if p > 0 {
-			all = append(all, Breakdown{Node: netlist.NodeID(i), Name: c.Nodes[i].Name, Power: p})
-		}
-	}
-	// Selection sort of the top n keeps this allocation-light for small n.
-	if n > len(all) {
-		n = len(all)
-	}
-	for i := 0; i < n; i++ {
-		best := i
-		for j := i + 1; j < len(all); j++ {
-			if all[j].Power > all[best].Power {
-				best = j
-			}
-		}
-		all[i], all[best] = all[best], all[i]
-	}
-	out := all[:n]
-	if total > 0 {
-		for i := range out {
-			out[i].Share = out[i].Power / total
-		}
-	}
-	return out
-}
-
 // FormatWatts renders a power value with an engineering unit prefix.
 func FormatWatts(w float64) string {
 	switch {

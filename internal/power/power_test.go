@@ -71,55 +71,12 @@ func TestWeightsEquationOne(t *testing.T) {
 	}
 }
 
-func TestPowerFromCountsHandComputed(t *testing.T) {
-	c := miniCircuit(t)
-	cm := CapModel{Base: 100e-15, PerFanout: 0}
-	m := NewModel(c, cm, Supply{VDD: 2, ClockPeriod: 10e-9})
-	counts := make([]uint64, c.NumNodes())
-	counts[c.Lookup("G1")] = 10
-	counts[c.Lookup("G2")] = 5
-	// P = VDD^2/(2*T*cycles) * C * n = 4/(2*10e-9*10) * 100e-15 * 15
-	want := 4.0 / (2 * 10e-9 * 10) * 100e-15 * 15
-	if got := m.PowerFromCounts(counts, 10); math.Abs(got-want) > 1e-12*want {
-		t.Fatalf("PowerFromCounts = %g, want %g", got, want)
-	}
-	if m.PowerFromCounts(counts, 0) != 0 {
-		t.Fatal("zero cycles should give zero power")
-	}
-}
-
 func TestEnergyPerTransition(t *testing.T) {
 	c := miniCircuit(t)
 	m := NewModel(c, CapModel{Base: 40e-15}, Supply{VDD: 5, ClockPeriod: 50e-9})
 	want := 40e-15 * 25 / 2
 	if got := m.EnergyPerTransition(c.Lookup("G2")); math.Abs(got-want) > 1e-25 {
 		t.Fatalf("energy = %g, want %g", got, want)
-	}
-}
-
-func TestTopConsumers(t *testing.T) {
-	c := miniCircuit(t)
-	m := NewModel(c, CapModel{Base: 50e-15, PerFanout: 0}, DefaultSupply())
-	counts := make([]uint64, c.NumNodes())
-	counts[c.Lookup("G1")] = 100
-	counts[c.Lookup("G2")] = 50
-	counts[c.Lookup("G3")] = 10
-	top := m.TopConsumers(c, counts, 100, 2)
-	if len(top) != 2 {
-		t.Fatalf("got %d entries, want 2", len(top))
-	}
-	if top[0].Name != "G1" || top[1].Name != "G2" {
-		t.Fatalf("top order = %s, %s", top[0].Name, top[1].Name)
-	}
-	if top[0].Share <= top[1].Share {
-		t.Fatal("shares not ordered")
-	}
-	// Shares are fractions of the total.
-	if top[0].Share <= 0 || top[0].Share >= 1 {
-		t.Fatalf("share = %g", top[0].Share)
-	}
-	if m.TopConsumers(c, counts, 0, 5) != nil {
-		t.Fatal("cycles=0 should return nil")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // The result cache exploits the estimator's end-to-end determinism:
@@ -104,7 +103,7 @@ func resultKey(src CircuitSource, req JobRequest) string {
 		CheckEvery:    opts.CheckEvery,
 		MaxSamples:    opts.MaxSamples,
 		Warmup:        opts.WarmupCycles,
-		Replications:  opts.Replications,
+		Replications:  opts.ReplicationCount(),
 		Reuse:         opts.ReuseTestSamples,
 		Mode:          opts.Mode.String(),
 		Backend:       opts.Backend.String(),
@@ -121,9 +120,6 @@ func resultKey(src CircuitSource, req JobRequest) string {
 	}
 	if req.Interval != nil {
 		spec.Interval = *req.Interval
-	}
-	if spec.Replications == 0 {
-		spec.Replications = sim.MaxLanes
 	}
 	blob, err := json.Marshal(spec)
 	if err != nil {

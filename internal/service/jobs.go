@@ -87,8 +87,8 @@ type OptionsSpec struct {
 	Alpha float64 `json:"alpha,omitempty"`
 	// SeqLen is the randomness-test sequence length (default 320).
 	SeqLen int `json:"seqLen,omitempty"`
-	// Replications is the number of bit-packed parallel replications
-	// (default 64, one full machine word).
+	// Replications is the number of parallel replications (default 64,
+	// see core.Options.ReplicationCount).
 	Replications int `json:"replications,omitempty"`
 	// Workers bounds the per-job goroutine pool (default GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
