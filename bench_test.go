@@ -164,11 +164,13 @@ func BenchmarkEventDrivenCycle(b *testing.B) {
 		tb := dipe.NewTestbench(c)
 		b.Run(name, func(b *testing.B) {
 			s := tb.NewSession(dipe.NewIIDSource(len(c.Inputs), 0.5, 1))
+			var events uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.StepSampled(nil)
+				events += s.Events()
 			}
-			b.ReportMetric(float64(s.Events()), "events/cycle")
+			b.ReportMetric(float64(events)/float64(b.N), "events/cycle")
 		})
 	}
 }

@@ -105,8 +105,8 @@ type workerState struct {
 // for propagation).
 //
 // Estimation flow: interval selection runs locally on the coordinator
-// (one scalar session — negligible against the sampling phase), the
-// replication space is partitioned into contiguous ranges, one
+// (core.PreparePlanCtx, on a one-lane session), the replication
+// space is partitioned into contiguous ranges, one
 // streaming /v1/run per range is opened on the live workers, and the
 // per-range sample blocks are merged through core.Merger in the
 // canonical order, making the pooled sequential stopping decision

@@ -60,7 +60,8 @@ type BlockOptions struct {
 	// (lanes/64, minimum 1); the slot budget is BudgetBytes/(8*W).
 	W int
 	// Workers > 1 selects level-parallel partitioning (direct segments in
-	// per-level waves for ExecParallel) instead of cache blocking.
+	// per-level waves for ExecParallel) instead of cache blocking. The
+	// partition runs at most GOMAXPROCS of them (see Blocked.Workers).
 	Workers int
 	// MaxSegInsts caps instructions per segment (0 = unlimited). A test
 	// hook: budget=1-instruction and budget=∞ segmentation both come from
@@ -100,8 +101,9 @@ type wave struct {
 // and ExecParallel (level waves across goroutines) are bit-identical to
 // Program.Exec on the same register file.
 type Blocked struct {
-	// Workers is the partitioning's target goroutine count (1 for the
-	// serial cache-blocked form).
+	// Workers is the goroutine count ExecParallel runs: 1 for the serial
+	// cache-blocked form; for a level partition the requested count
+	// capped at GOMAXPROCS and at the widest wave's segment count.
 	Workers int
 	// ScratchSlots is the scratch register-file height Exec needs
 	// (callers allocate ScratchSlots*w words; 0 for direct partitions).
@@ -149,9 +151,14 @@ func Block(p *Program, opt BlockOptions) *Blocked {
 }
 
 // blockLevels builds one wave per logic level, each split into up to
-// workers direct segments of near-equal instruction count.
+// workers direct segments of near-equal instruction count. The
+// partition's Workers is capped at GOMAXPROCS and at the widest wave's
+// segment count: ExecParallel starts Workers goroutines per pass, and
+// one with no segment to run would only spin on the barrier. A cap of
+// one leaves a serial program of direct segments.
 func blockLevels(p *Program, workers int) *Blocked {
-	b := &Blocked{Workers: workers}
+	workers = min(workers, runtime.GOMAXPROCS(0))
+	b := &Blocked{Workers: 1}
 	for lo := 0; lo < len(p.code); {
 		hi := lo + 1
 		for hi < len(p.code) && p.levels[hi] == p.levels[lo] {
@@ -184,6 +191,7 @@ func blockLevels(p *Program, workers int) *Blocked {
 			at += sz
 		}
 		b.waves = append(b.waves, wv)
+		b.Workers = max(b.Workers, nsegs)
 		lo = hi
 	}
 	return b

@@ -3,6 +3,7 @@ package compile
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench89"
@@ -123,8 +124,11 @@ func TestBlockedHugeBudgetIsDirect(t *testing.T) {
 }
 
 // TestBlockedParallelExact runs the level-parallel partition at several
-// worker counts against the linear pass.
+// worker counts against the linear pass. GOMAXPROCS is raised to the
+// largest count so the partitions keep every worker their widest wave
+// can use, whatever the host's core count.
 func TestBlockedParallelExact(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	for _, name := range []string{"s298", "s1423", "s5378"} {
 		u := Compile(bench89.MustGet(name))
 		for _, workers := range []int{2, 3, 8} {
@@ -134,14 +138,39 @@ func TestBlockedParallelExact(t *testing.T) {
 				observeAll bool
 			}{{"full", u.Full, true}, {"step", u.Step, false}} {
 				b := Block(pc.p, BlockOptions{Workers: workers})
-				if b.Workers != workers {
-					t.Fatalf("partition kept %d workers, want %d", b.Workers, workers)
+				if want := min(workers, maxWaveSegs(b)); b.Workers != want {
+					t.Fatalf("partition kept %d workers, want %d", b.Workers, want)
 				}
 				t.Run(fmt.Sprintf("%s/%s/workers%d", name, pc.tag, workers), func(t *testing.T) {
 					checkBlockedExact(t, pc.p, b, 1, pc.observeAll, int64(workers))
 				})
 			}
 		}
+	}
+}
+
+// maxWaveSegs is the widest wave's segment count of a partition.
+func maxWaveSegs(b *Blocked) int {
+	n := 1
+	for _, wv := range b.waves {
+		n = max(n, len(wv.segs))
+	}
+	return n
+}
+
+// TestBlockedWorkersCapped pins the worker cap: a level partition never
+// runs more goroutines than GOMAXPROCS or its widest wave has segments,
+// so a huge request on a tiny circuit cannot start idle barrier
+// spinners on every pass.
+func TestBlockedWorkersCapped(t *testing.T) {
+	u := Compile(bench89.S27())
+	for _, p := range []*Program{u.Full, u.Step} {
+		b := Block(p, BlockOptions{Workers: 100000})
+		if b.Workers > runtime.GOMAXPROCS(0) || b.Workers != maxWaveSegs(b) {
+			t.Fatalf("s27 partition runs %d workers (GOMAXPROCS %d, widest wave %d segments)",
+				b.Workers, runtime.GOMAXPROCS(0), maxWaveSegs(b))
+		}
+		checkBlockedExact(t, p, b, 1, p == u.Full, 3)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/bench89"
 	"repro/internal/delay"
@@ -226,5 +227,35 @@ func TestBlockedGoldenS38417(t *testing.T) {
 	if blocked.HiddenCycles != ref.HiddenCycles || parallel.HiddenCycles != ref.HiddenCycles {
 		t.Errorf("hidden cycles diverge: unblocked %d, blocked %d, parallel %d",
 			ref.HiddenCycles, blocked.HiddenCycles, parallel.HiddenCycles)
+	}
+}
+
+// TestSessionWorkersHugeRequest: an absurd SessionWorkers request on a
+// ten-gate circuit finishes promptly and bit-identical to
+// single-threaded sessions. Level partitions run at most GOMAXPROCS
+// workers, and no more than their widest wave has segments, so the
+// request cannot start thousands of barrier spinners per program pass.
+func TestSessionWorkersHugeRequest(t *testing.T) {
+	c := bench89.S27()
+	tb := DefaultTestbench(c)
+	factory := vectors.IIDFactory(len(c.Inputs), 0.5)
+	run := func(sessionWorkers int) Result {
+		opts := DefaultOptions()
+		opts.Replications = 64
+		opts.SessionWorkers = sessionWorkers
+		res, err := EstimateParallel(tb, factory, 11, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	ref := run(0)
+	done := make(chan Result, 1)
+	go func() { done <- run(100000) }()
+	select {
+	case got := <-done:
+		requireGolden(t, "session-workers 100000", ref, got)
+	case <-time.After(20 * time.Second):
+		t.Fatal("SessionWorkers 100000 on s27 still running after 20s")
 	}
 }

@@ -17,11 +17,14 @@
 // procedure over the runs test); the sampling/stopping phase implements
 // Section IV. EstimateParallel runs the same flow with many independent
 // replications advanced concurrently on the bit-packed simulator, with
-// deterministic seeding and merge order. The Ctx variants add
-// cooperative cancellation (covering interval selection too, via
-// SelectIntervalCtx), and Options.Progress streams running snapshots
-// with a guaranteed terminal snapshot — the hooks the dipe-server job
-// manager is built on.
+// deterministic seeding and merge order; its phase 1 (PreparePlanCtx)
+// runs on a one-lane compiled or packed session whose samples are
+// bit-identical to the scalar sim.Session that SelectInterval, ZTrace,
+// Diagnose and Estimate take — both drive one unexported selection
+// loop. The Ctx variants add cooperative cancellation (covering
+// interval selection too, via SelectIntervalCtx), and Options.Progress
+// streams running snapshots with a guaranteed terminal snapshot — the
+// hooks the dipe-server job manager is built on.
 //
 // Options.Mode selects the power-observation scenario (power.PowerMode):
 // the default general-delay mode observes sampled cycles with per-lane

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/netlist"
 	"repro/internal/randtest"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/vectors"
 	"repro/internal/vr"
 )
 
@@ -46,11 +48,71 @@ type IntervalSelection struct {
 	Toggles []uint64
 }
 
+// sampler is the single-replication stepping surface of phase 1 and of
+// the sequence collectors built on it: hidden cycles, sampled cycles
+// observed by the run's scalar power engine, and sampled cycles that
+// also report the zero-delay toggle covariate. A scalar *sim.Session is
+// one (the exported session-based entry points); the parallel
+// estimators drive one lane of a compiled or packed lane session
+// (laneSampler). Both observe bit-identical samples.
+type sampler interface {
+	Circuit() *netlist.Circuit
+	StepHiddenN(n int)
+	StepSampled(counts []uint64) float64
+	StepSampledPair(counts []uint64) (x, c float64)
+}
+
+// laneSampler is a one-lane LaneSession behind the sampler interface.
+// Hidden cycles run the backend's hidden step (the compiled Step
+// program); sampled cycles hand the lane to the scalar engine of the
+// run's power mode through StepSampledWith, or StepSampledBoth for the
+// covariate pair. Lane k of a lane session is bit-identical to a scalar
+// Session over the same source, and the engine is the one
+// Testbench.NewSessionMode would install, so every sample, count and
+// cycle tally equals the scalar route's. Unlike the sampling phase it
+// never takes sampledEngine's all-zero-table upgrade: the word-level
+// zero-delay sum adds in node order, not event order, and phase 1
+// reproduces the scalar engine's float summation exactly.
+type laneSampler struct {
+	ls      sim.LaneSession
+	engine  sim.PowerEngine
+	weights []float64
+	x, c    [1]float64
+}
+
+// newLaneSampler builds the one-lane sampler over src. One lane is one
+// word per register row — too little work per logic level to split
+// across session workers, so only the cache budget is passed on.
+func newLaneSampler(tb *Testbench, src vectors.Source, opts Options) *laneSampler {
+	return &laneSampler{
+		ls: sim.NewLaneSessionConfig(opts.Backend, tb.Circuit, []vectors.Source{src},
+			sim.SessionConfig{CacheBudget: opts.CacheBudget}),
+		engine:  tb.Engine(opts.Mode),
+		weights: tb.Weights(),
+	}
+}
+
+func (s *laneSampler) Circuit() *netlist.Circuit { return s.ls.Circuit() }
+
+func (s *laneSampler) StepHiddenN(n int) { s.ls.StepHiddenN(n) }
+
+func (s *laneSampler) StepSampled(counts []uint64) float64 {
+	s.ls.AccumulateToggles(counts)
+	s.ls.StepSampledWith(s.engine, s.weights, s.x[:])
+	return s.x[0]
+}
+
+func (s *laneSampler) StepSampledPair(counts []uint64) (x, c float64) {
+	s.ls.AccumulateToggles(counts)
+	s.ls.StepSampledBoth(s.engine, s.weights, s.x[:], s.c[:])
+	return s.x[0], s.c[0]
+}
+
 // collectSequence gathers n power samples, separated by k hidden
 // (zero-delay) cycles each, into dst. It polls ctx every ctxCheckEvery
 // samples and returns early with ctx.Err() when cancelled, so one trial
 // on a large circuit cannot pin a worker past a cancellation request.
-func collectSequence(ctx context.Context, s *sim.Session, k, n int, dst []float64) ([]float64, error) {
+func collectSequence(ctx context.Context, s sampler, k, n int, dst []float64) ([]float64, error) {
 	dst, _, err := collectSequencePairs(ctx, s, k, n, dst, nil, nil)
 	return dst, err
 }
@@ -62,7 +124,7 @@ func collectSequence(ctx context.Context, s *sim.Session, k, n int, dst []float6
 // counts buffer (len NumNodes) is zeroed and accumulates the sequence's
 // per-node transition counts, so after an accepted trial it holds
 // exactly the accepted sequence's toggles.
-func collectSequencePairs(ctx context.Context, s *sim.Session, k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64, error) {
+func collectSequencePairs(ctx context.Context, s sampler, k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64, error) {
 	dst = dst[:0]
 	if cov != nil {
 		cov = cov[:0]
@@ -108,6 +170,13 @@ func SelectInterval(s *sim.Session, opts Options) (IntervalSelection, error) {
 // manager relies on this to abort jobs that are still selecting an
 // interval on a large uploaded circuit.
 func SelectIntervalCtx(ctx context.Context, s *sim.Session, opts Options) (IntervalSelection, error) {
+	return selectInterval(ctx, s, opts)
+}
+
+// selectInterval is the Fig. 2 loop over any sampler: the scalar
+// session of the exported entry points, or the one-lane sampler of
+// PreparePlanCtx.
+func selectInterval(ctx context.Context, s sampler, opts Options) (IntervalSelection, error) {
 	if err := opts.Validate(); err != nil {
 		return IntervalSelection{}, err
 	}

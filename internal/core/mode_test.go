@@ -315,3 +315,140 @@ func TestFinalProgressSnapshot(t *testing.T) {
 		t.Fatalf("no terminal progress snapshot on cancellation (last=%+v, n=%d)", last, pres.SampleSize)
 	}
 }
+
+// scalarResumePoint is the pre-sampling phase on a scalar Session, the
+// reference PreparePlanCtx must reproduce bit for bit: warm-up and
+// SelectIntervalCtx on tb.NewSessionMode(src(seed)), then ResolvePlan.
+// A fixed-interval control-variate calibration is collected by hand on
+// a second scalar session (StepSampledPair at the fixed interval).
+func scalarResumePoint(t *testing.T, tb *Testbench, src vectors.Factory, seed int64, opts Options, fixed *int) ResumePoint {
+	t.Helper()
+	ctx := context.Background()
+	var (
+		rp  ResumePoint
+		sel *IntervalSelection
+	)
+	if fixed == nil {
+		s := tb.NewSessionMode(src(seed), opts.Mode)
+		s.StepHiddenN(opts.WarmupCycles)
+		got, err := SelectIntervalCtx(ctx, s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel = &got
+		rp.Interval, rp.Capped, rp.Trials, rp.SeedToggles = got.Interval, got.Capped, got.Trials, got.Toggles
+		rp.Hidden, rp.Sampled = s.HiddenCycles, s.SampledCycles
+	} else {
+		rp.Interval = *fixed
+		if opts.Variance.Mode.Canonical() == vr.ModeControlVariate {
+			s := tb.NewSessionMode(src(seed), opts.Mode)
+			s.StepHiddenN(opts.WarmupCycles)
+			var xs, cs []float64
+			for i := 0; i < opts.SeqLen; i++ {
+				s.StepHiddenN(*fixed)
+				x, c := s.StepSampledPair(nil)
+				xs, cs = append(xs, x), append(cs, c)
+			}
+			rp.Plan = vr.Plan{Mode: vr.ModeControlVariate, Beta: vr.EstimateBeta(xs, cs)}
+			rp.Hidden, rp.Sampled = s.HiddenCycles, s.SampledCycles
+			if rp.Plan.Beta != 0 {
+				mean, cost := controlMean(tb, src, seed, opts)
+				rp.Plan.ControlMean = mean
+				rp.Hidden += cost.Hidden
+			}
+			return rp
+		}
+	}
+	plan, seedSeq, cal, err := ResolvePlan(ctx, tb, src, seed, opts, rp.Interval, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp.Plan, rp.SeedSeq = plan, seedSeq
+	rp.Hidden += cal.Hidden
+	rp.Sampled += cal.Sampled
+	return rp
+}
+
+// sameResumePoint fails unless two resume points agree bit for bit.
+func sameResumePoint(t *testing.T, label string, got, want ResumePoint) {
+	t.Helper()
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	if got.Interval != want.Interval || got.Capped != want.Capped ||
+		got.Hidden != want.Hidden || got.Sampled != want.Sampled {
+		t.Errorf("%s: interval/capped/hidden/sampled %d/%v/%d/%d, want %d/%v/%d/%d", label,
+			got.Interval, got.Capped, got.Hidden, got.Sampled, want.Interval, want.Capped, want.Hidden, want.Sampled)
+	}
+	if len(got.Trials) != len(want.Trials) {
+		t.Errorf("%s: %d trials, want %d", label, len(got.Trials), len(want.Trials))
+	} else {
+		for i, tr := range got.Trials {
+			w := want.Trials[i]
+			if tr.Interval != w.Interval || tr.Accepted != w.Accepted || tr.Degenerate != w.Degenerate ||
+				math.Float64bits(tr.Z) != math.Float64bits(w.Z) || math.Float64bits(tr.PValue) != math.Float64bits(w.PValue) {
+				t.Errorf("%s: trial %d %+v, want %+v", label, i, tr, w)
+			}
+		}
+	}
+	if !reflect.DeepEqual(bits(got.SeedSeq), bits(want.SeedSeq)) {
+		t.Errorf("%s: seed sequence differs (%d vs %d samples)", label, len(got.SeedSeq), len(want.SeedSeq))
+	}
+	if !reflect.DeepEqual(got.SeedToggles, want.SeedToggles) {
+		t.Errorf("%s: seed toggles differ", label)
+	}
+	if got.Plan.Mode != want.Plan.Mode || math.Float64bits(got.Plan.Beta) != math.Float64bits(want.Plan.Beta) ||
+		math.Float64bits(got.Plan.ControlMean) != math.Float64bits(want.Plan.ControlMean) {
+		t.Errorf("%s: plan %+v, want %+v", label, got.Plan, want.Plan)
+	}
+}
+
+// TestPreparePlanMatchesScalarRoute is the phase-1 differential:
+// PreparePlanCtx's ResumePoint — interval, cap flag, every trial's
+// statistics, the seed sequence and toggles, the plan and the cycle
+// tally — equals the scalar-session route on both backends, for every
+// goldenVariants option set (general-delay, zero-delay, antithetic,
+// control-variate, breakdown, clipped), with and without a fixed
+// interval, and for an all-zero delay table under general-delay mode.
+func TestPreparePlanMatchesScalarRoute(t *testing.T) {
+	c := bench89.MustGet("s298")
+	src := vectors.IIDFactory(len(c.Inputs), 0.5)
+	zeroTB := NewTestbench(c, delay.Zero{}, power.DefaultCapModel(), power.DefaultSupply())
+	type row struct {
+		name string
+		tb   *Testbench
+		set  func(*Options)
+	}
+	rows := []row{
+		{"s298", DefaultTestbench(c), func(*Options) {}},
+		{"s298/all-zero-table", zeroTB, func(*Options) {}},
+		{"s298/all-zero-table/breakdown", zeroTB, func(o *Options) { o.Breakdown = true }},
+	}
+	for name, set := range goldenVariants {
+		rows = append(rows, row{name, DefaultTestbench(c), set})
+	}
+	fixed := 2
+	for _, r := range rows {
+		for _, b := range sim.Backends() {
+			opts := DefaultOptions()
+			opts.Replications = 64
+			opts.Backend = b
+			r.set(&opts)
+			for _, fx := range []*int{nil, &fixed} {
+				label := r.name + "/" + string(b)
+				if fx != nil {
+					label += "/fixed"
+				}
+				got, err := PreparePlanCtx(context.Background(), r.tb, src, 42, opts, fx)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				sameResumePoint(t, label, got, scalarResumePoint(t, r.tb, src, 42, opts, fx))
+			}
+		}
+	}
+}

@@ -90,8 +90,10 @@ func sampledEngine(tb *Testbench, opts Options, plan vr.Plan) (engine, delayMode
 }
 
 // EstimateParallel runs the DIPE flow with many independent replications
-// advanced concurrently. Interval selection runs once on a scalar
-// session seeded baseSeed (exactly like Estimate); sampling then shards
+// advanced concurrently. Interval selection runs once on a one-lane
+// session of opts.Backend seeded baseSeed, whose samples are
+// bit-identical to Estimate's scalar session over the same source (see
+// PreparePlanCtx); sampling then shards
 // opts.Replications independent sequences — replication r is seeded
 // baseSeed+1+r, a fixed lane→seed mapping — across a goroutine worker
 // pool. Each worker drives a lane-parallel session (opts.Backend: up to
@@ -116,7 +118,7 @@ func EstimateParallel(tb *Testbench, src vectors.Factory, baseSeed int64, opts O
 // (unconverged) result together with ctx.Err() when the context is
 // cancelled. The dipe-server job manager uses this to abort jobs.
 func EstimateParallelCtx(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options) (Result, error) {
-	// Phase 1 (interval selection on a scalar session seeded baseSeed)
+	// Phase 1 (interval selection on a one-lane session seeded baseSeed)
 	// and plan resolution freeze into a ResumePoint; the sampling tail
 	// runs from it. The split is the checkpoint seam the durable job
 	// store persists across server restarts — the uninterrupted path

@@ -59,8 +59,12 @@ type ResumePoint struct {
 
 // PreparePlanCtx runs the pre-sampling phases of an EstimateParallel
 // run and freezes them into a ResumePoint. With fixed == nil, phase 1
-// (Fig. 2 interval selection) runs on a scalar session seeded baseSeed;
-// a non-nil fixed skips selection and pins the interval, exactly like
+// (Fig. 2 interval selection) runs on a one-lane session of
+// opts.Backend seeded baseSeed: hidden cycles on the backend's hidden
+// step, sampled cycles observed by the scalar engine of opts.Mode. Its
+// samples, toggles and cycle counts are bit-identical to selection on a
+// scalar Session (SelectIntervalCtx) over the same source. A non-nil
+// fixed skips selection and pins the interval, exactly like
 // EstimateParallelWithInterval. Plan resolution (ResolvePlan) follows
 // in either case. Two calls with the same inputs produce bit-identical
 // points — the determinism that makes persisted checkpoints safe to
@@ -81,9 +85,9 @@ func PreparePlanCtx(ctx context.Context, tb *Testbench, src vectors.Factory, bas
 		rp.Interval = *fixed
 	} else {
 		endSel := tr.Begin("select-interval")
-		sel0 := tb.NewSessionMode(src(baseSeed), opts.Mode)
+		sel0 := newLaneSampler(tb, src(baseSeed), opts)
 		sel0.StepHiddenN(opts.WarmupCycles)
-		s, err := SelectIntervalCtx(ctx, sel0, opts)
+		s, err := selectInterval(ctx, sel0, opts)
 		if err != nil {
 			return ResumePoint{}, err
 		}
@@ -91,8 +95,7 @@ func PreparePlanCtx(ctx context.Context, tb *Testbench, src vectors.Factory, bas
 		sel = &s
 		rp.Interval, rp.Capped, rp.Trials = s.Interval, s.Capped, s.Trials
 		rp.SeedToggles = s.Toggles
-		rp.Hidden += sel0.HiddenCycles
-		rp.Sampled += sel0.SampledCycles
+		rp.Hidden, rp.Sampled = sel0.ls.CycleCounts()
 	}
 	endPlan := tr.Begin("plan-resolve", "interval", strconv.Itoa(rp.Interval))
 	plan, seedSeq, cal, err := ResolvePlan(ctx, tb, src, baseSeed, opts, rp.Interval, sel)

@@ -43,8 +43,8 @@ type CalCost struct {
 //
 // Control-variate resolution estimates the coefficient by regressing
 // the phase-1 (sample, covariate) pairs — or, for fixed-interval runs,
-// a dedicated SeqLen-pair calibration sequence on a scalar session
-// seeded baseSeed, the seed selection would have used — and the
+// a dedicated SeqLen-pair calibration sequence on the one-lane phase-1
+// sampler seeded baseSeed, the seed selection would have used — and the
 // covariate mean from a packed zero-delay pre-run over dedicated lane
 // seeds. Everything is seeded deterministically, so two resolutions
 // with the same inputs produce bit-identical plans.
@@ -82,7 +82,7 @@ func ResolvePlan(ctx context.Context, tb *Testbench, src vectors.Factory, baseSe
 				// Fixed-interval run: no phase-1 data exists, so collect a
 				// dedicated calibration sequence shaped like one selection
 				// trial at the sampling interval.
-				s := tb.NewSessionMode(src(baseSeed), opts.Mode)
+				s := newLaneSampler(tb, src(baseSeed), opts)
 				s.StepHiddenN(opts.WarmupCycles)
 				var err error
 				xs, cs, err = collectSequencePairs(ctx, s, interval, opts.SeqLen,
@@ -90,8 +90,7 @@ func ResolvePlan(ctx context.Context, tb *Testbench, src vectors.Factory, baseSe
 				if err != nil {
 					return vr.Plan{}, nil, CalCost{}, err
 				}
-				cost.Hidden += s.HiddenCycles
-				cost.Sampled += s.SampledCycles
+				cost.Hidden, cost.Sampled = s.ls.CycleCounts()
 			}
 			plan.Beta = vr.EstimateBeta(xs, cs)
 		}

@@ -9,6 +9,17 @@
 //     used on sampled cycles to observe every transition (including
 //     glitches) for the power computation of Eq. 1.
 //
+// The event-driven simulator commits events in (time, logic level,
+// scheduling order): the level tiebreak makes same-time changes behave
+// like a levelized sweep, and the full order fixes the float summation
+// order of a cycle's power. Its event queue is a timing wheel whose slot
+// width is the gcd of the delay table's nonzero delays (20 ps under the
+// default fanout-loaded model, so one time per slot), widened when
+// maxDelay/width would exceed a fixed bound, with the smallest power of
+// two of slots above maxDelay/width + 1. Each time is drained through
+// per-level FIFO lists (a bucket queue over logic levels); a zero-delay
+// gate scheduled meanwhile joins its level's list at the tail.
+//
 // Power observation itself is pluggable behind the PowerEngine
 // interface: a sampled cycle is "apply the new (pattern, state), settle,
 // return the weighted transition sum of Eq. 1", and which transitions

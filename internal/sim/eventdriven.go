@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/delay"
 	"repro/internal/netlist"
@@ -20,6 +21,30 @@ import (
 // current value cancels any pending change (pulse filtering). At most one
 // change per node is pending at any time.
 //
+// Events commit in (time, logic level, scheduling order). The level
+// tiebreak makes zero-delay (and equal-delay) event processing behave
+// like a levelized sweep, so delta-cycle artifacts cannot masquerade as
+// glitches: an upstream same-time change always lands before a
+// downstream gate commits, letting inertial cancellation absorb it. The
+// order fixes the float summation order of the cycle's power and the
+// sequence an observer sees.
+//
+// The pending events live in a timing wheel (a calendar queue). Slot
+// width is the gcd of the table's nonzero delays — so under the
+// fanout-loaded model, whose delays are multiples of 20 ps, each slot
+// holds a single time — widened when the max/gcd ratio exceeds
+// maxWheelSpan, in which case a slot may hold several times. The wheel
+// has the smallest power of two of slots above maxDelay/width + 1, so an
+// event is never scheduled a full turn ahead. A slot is a FIFO list of
+// its events in scheduling order, threaded through one shared event
+// pool. Draining a slot moves its earliest time's events, in order, onto
+// per-level FIFO lists (a bucket queue over logic levels) and commits
+// them level by level; the slot's later times (a widened slot) stay on
+// it for the next pass. An event scheduled for the time being drained —
+// a zero-delay gate, always at a higher level than the event that
+// scheduled it — joins the tail of its level's list. No sequence number
+// is stored: scheduling order is list order.
+//
 // The fanout walk and gate re-evaluation run over the circuit's CSR view
 // (flat kind/level/fanin/fanout arrays).
 type EventDriven struct {
@@ -27,13 +52,25 @@ type EventDriven struct {
 	delays    []delay.Picoseconds
 	modelName string
 
-	heap []event
+	// wheel[s&mask] lists, in scheduling order, the pool indices of the
+	// events of absolute slot s — times in [s*width, (s+1)*width). free
+	// heads the pool's free list. queued counts the events on slot lists,
+	// stale ones included. now is the time being drained (-1 while the
+	// t=0 source changes are applied); its events wait on level[l], and
+	// occupied has bit l set while level[l] is non-empty.
+	wheel    []eventList
+	mask     int64
+	width    delay.Picoseconds
+	pool     []event
+	free     int32
+	queued   int
+	now      delay.Picoseconds
+	level    []eventList
+	occupied []uint64
 
 	pendingVal    []bool
 	pendingActive []bool
 	pendingGen    []uint32
-
-	seq uint64
 
 	// LastSettleTime is the simulated time at which the previous Cycle
 	// quiesced; callers can check it against the clock period.
@@ -51,9 +88,44 @@ type EventDriven struct {
 type event struct {
 	t     delay.Picoseconds
 	level int32
-	seq   uint64
 	node  netlist.NodeID
 	gen   uint32
+	next  int32 // pool index of the next event on its list, -1 at the tail
+}
+
+// eventList is a FIFO of pool indices (head -1 = empty): one wheel slot,
+// or one logic level of the time being drained.
+type eventList struct{ head, tail int32 }
+
+// maxWheelSpan bounds maxDelay/width: a delay table whose max/gcd ratio
+// exceeds it gets proportionally wider slots, keeping the wheel at most
+// 2*maxWheelSpan slots.
+const maxWheelSpan = 1024
+
+// wheelGeometry sizes the timing wheel for a delay table: the slot width
+// (the gcd of the nonzero delays, widened to keep maxDelay/width within
+// maxWheelSpan) and the slot count (the smallest power of two above
+// maxDelay/width + 1).
+func wheelGeometry(delays []delay.Picoseconds) (width delay.Picoseconds, slots int) {
+	var g, maxD delay.Picoseconds
+	for _, d := range delays {
+		if d > 0 {
+			a, b := g, d
+			for b != 0 {
+				a, b = b, a%b
+			}
+			g, maxD = a, max(maxD, d)
+		}
+	}
+	width = max(g, 1)
+	if span := maxD / width; span > maxWheelSpan {
+		width *= (span + maxWheelSpan - 1) / maxWheelSpan
+	}
+	slots = 1
+	for delay.Picoseconds(slots) <= maxD/width+1 {
+		slots <<= 1
+	}
+	return width, slots
 }
 
 // NewEventDriven builds an event-driven simulator for a frozen circuit
@@ -66,16 +138,45 @@ func NewEventDriven(c *netlist.Circuit, dt *delay.Table) *EventDriven {
 		panic(fmt.Sprintf("sim: delay table has %d entries, circuit has %d nodes",
 			len(dt.Delays), len(c.Nodes)))
 	}
+	for i, d := range dt.Delays {
+		if d < 0 {
+			panic(fmt.Sprintf("sim: node %d has negative delay %d", i, d))
+		}
+	}
 	n := len(c.Nodes)
-	return &EventDriven{
-		csr:           c.CSR(),
+	r := c.CSR()
+	levels := int32(1)
+	for _, l := range r.Level {
+		levels = max(levels, l+1)
+	}
+	width, slots := wheelGeometry(dt.Delays)
+	e := &EventDriven{
+		csr:           r,
 		delays:        dt.Delays,
 		modelName:     dt.ModelName,
-		heap:          make([]event, 0, 4*n),
+		wheel:         make([]eventList, slots),
+		mask:          int64(slots - 1),
+		width:         width,
+		level:         make([]eventList, levels),
+		occupied:      make([]uint64, (levels+63)/64),
 		pendingVal:    make([]bool, n),
 		pendingActive: make([]bool, n),
 		pendingGen:    make([]uint32, n),
 	}
+	e.resetQueue()
+	return e
+}
+
+// resetQueue empties the wheel, the level lists and the event pool.
+func (e *EventDriven) resetQueue() {
+	for i := range e.wheel {
+		e.wheel[i].head = -1
+	}
+	for i := range e.level {
+		e.level[i].head = -1
+	}
+	clear(e.occupied)
+	e.pool, e.free, e.queued, e.now = e.pool[:0], -1, 0, -1
 }
 
 // Cycle simulates one clock cycle. On entry vals must hold the settled
@@ -93,10 +194,11 @@ func (e *EventDriven) Cycle(vals []bool, newPins, newQ []bool, weights []float64
 	sum := 0.0
 	e.LastEvents = 0
 	e.LastSettleTime = 0
-	// The heap is always drained by the previous Cycle; reslice anyway so
-	// an aborted cycle can never leak stale events, while the backing
-	// array (pre-sized at construction) is reused across cycles.
-	e.heap = e.heap[:0]
+	// The wheel is always drained by the previous Cycle; an aborted one
+	// (a panicking observer) must not leak stale events into this one.
+	if e.queued != 0 || e.now != -1 {
+		e.resetQueue()
+	}
 
 	// Apply simultaneous source changes at t=0: the clock edge updates
 	// latch outputs while the environment presents the next pattern.
@@ -129,47 +231,93 @@ func (e *EventDriven) Cycle(vals []bool, newPins, newQ []bool, weights []float64
 		}
 	}
 
-	// Propagate to quiescence. The commit loop is duplicated so the
-	// counts branch is taken once per cycle, not once per event; the
-	// counting variant only runs for energy-breakdown callers.
-	if counts == nil {
-		for len(e.heap) > 0 {
-			ev := e.pop()
-			id := ev.node
-			if !e.pendingActive[id] || e.pendingGen[id] != ev.gen {
-				continue // cancelled or superseded
-			}
-			e.pendingActive[id] = false
-			vals[id] = e.pendingVal[id]
-			sum += weights[id]
-			if e.observer != nil {
-				e.observer(id, ev.t, vals[id])
-			}
-			e.LastEvents++
-			if ev.t > e.LastSettleTime {
-				e.LastSettleTime = ev.t
-			}
-			e.fanoutEval(int32(id), ev.t, vals)
+	// Propagate to quiescence: wheel slots in time order, each drained
+	// one time at a time (a widened slot may hold several), each time
+	// level by level.
+	for sl := int64(0); e.queued > 0; sl++ {
+		for slot := &e.wheel[sl&e.mask]; slot.head >= 0; {
+			e.takeEarliest(slot)
+			sum = e.drainLevels(sum, vals, weights, counts)
 		}
+	}
+	e.now = -1
+	return sum
+}
+
+// takeEarliest moves the earliest time's events of a wheel slot onto the
+// level lists, in slot order, and makes that time e.now; the slot keeps
+// its later-time events in order.
+func (e *EventDriven) takeEarliest(slot *eventList) {
+	head := slot.head
+	slot.head = -1
+	first := e.pool[head].t
+	for i := e.pool[head].next; i >= 0; i = e.pool[i].next {
+		first = min(first, e.pool[i].t)
+	}
+	for i := head; i >= 0; {
+		ev := &e.pool[i]
+		next := ev.next
+		if ev.t == first {
+			e.queued--
+			e.appendLevel(i)
+		} else {
+			e.appendTo(slot, i)
+		}
+		i = next
+	}
+	e.now = first
+}
+
+// appendLevel links pool event i at the tail of its level's list.
+func (e *EventDriven) appendLevel(i int32) {
+	l := e.pool[i].level
+	e.occupied[l>>6] |= 1 << (l & 63)
+	e.appendTo(&e.level[l], i)
+}
+
+// appendTo links pool event i at the tail of list l.
+func (e *EventDriven) appendTo(l *eventList, i int32) {
+	e.pool[i].next = -1
+	if l.head < 0 {
+		l.head = i
 	} else {
-		for len(e.heap) > 0 {
-			ev := e.pop()
-			id := ev.node
-			if !e.pendingActive[id] || e.pendingGen[id] != ev.gen {
-				continue
-			}
-			e.pendingActive[id] = false
-			vals[id] = e.pendingVal[id]
-			sum += weights[id]
-			counts[id]++
-			if e.observer != nil {
-				e.observer(id, ev.t, vals[id])
-			}
-			e.LastEvents++
-			if ev.t > e.LastSettleTime {
+		e.pool[l.tail].next = i
+	}
+	l.tail = i
+}
+
+// drainLevels commits the events of time e.now in (level, scheduling
+// order), adding each committed transition's weight to sum in that order,
+// and returns the power sum. Committed events re-evaluate their fanout,
+// which may append to higher levels only, so the ascending scan of the
+// occupied bitmap sees them. Drained lists go back to the free list.
+func (e *EventDriven) drainLevels(sum float64, vals []bool, weights []float64, counts []uint64) float64 {
+	for w := range e.occupied {
+		for e.occupied[w] != 0 {
+			l := w<<6 | bits.TrailingZeros64(e.occupied[w])
+			e.occupied[w] &^= 1 << (l & 63)
+			list := e.level[l]
+			e.level[l].head = -1
+			for i := list.head; i >= 0; i = e.pool[i].next {
+				ev := e.pool[i]
+				id := ev.node
+				if !e.pendingActive[id] || e.pendingGen[id] != ev.gen {
+					continue // cancelled or superseded
+				}
+				e.pendingActive[id] = false
+				vals[id] = e.pendingVal[id]
+				sum += weights[id]
+				if counts != nil {
+					counts[id]++
+				}
+				if e.observer != nil {
+					e.observer(id, ev.t, vals[id])
+				}
+				e.LastEvents++
 				e.LastSettleTime = ev.t
+				e.fanoutEval(int32(id), ev.t, vals)
 			}
-			e.fanoutEval(int32(id), ev.t, vals)
+			e.pool[list.tail].next, e.free = e.free, list.head
 		}
 	}
 	return sum
@@ -216,63 +364,27 @@ func (e *EventDriven) fanoutEval(id int32, t delay.Picoseconds, vals []bool) {
 		e.pendingVal[g] = newv
 		e.pendingActive[g] = true
 		e.pendingGen[g]++
-		e.push(event{t: t + e.delays[g], level: r.Level[g], seq: e.seq,
+		e.schedule(event{t: t + e.delays[g], level: r.Level[g],
 			node: netlist.NodeID(g), gen: e.pendingGen[g]})
-		e.seq++
 	}
 }
 
-// less orders events by time, then by logic level, then by scheduling
-// order. The level tiebreak makes zero-delay (and equal-delay) event
-// processing behave like a levelized sweep, so delta-cycle artifacts
-// cannot masquerade as glitches: an upstream same-time change always
-// lands before a downstream gate commits, letting inertial cancellation
-// absorb it.
-func (a event) less(b event) bool {
-	if a.t != b.t {
-		return a.t < b.t
+// schedule queues ev behind every queued event of its time and level:
+// on the level list of the time being drained (a zero-delay gate), or at
+// the tail of its wheel slot.
+func (e *EventDriven) schedule(ev event) {
+	i := e.free
+	if i >= 0 {
+		e.free = e.pool[i].next
+		e.pool[i] = ev
+	} else {
+		i = int32(len(e.pool))
+		e.pool = append(e.pool, ev)
 	}
-	if a.level != b.level {
-		return a.level < b.level
+	if ev.t == e.now {
+		e.appendLevel(i)
+		return
 	}
-	return a.seq < b.seq
-}
-
-func (e *EventDriven) push(ev event) {
-	e.heap = append(e.heap, ev)
-	i := len(e.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.heap[i].less(e.heap[parent]) {
-			break
-		}
-		e.heap[i], e.heap[parent] = e.heap[parent], e.heap[i]
-		i = parent
-	}
-}
-
-func (e *EventDriven) pop() event {
-	h := e.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	e.heap = h[:last]
-	h = e.heap
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l].less(h[small]) {
-			small = l
-		}
-		if r < len(h) && h[r].less(h[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	return top
+	e.appendTo(&e.wheel[int64(ev.t/e.width)&e.mask], i)
+	e.queued++
 }

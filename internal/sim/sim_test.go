@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -346,5 +349,179 @@ func TestConstantNodesNeverTransition(t *testing.T) {
 	}
 	if n := counts[c.Lookup("C1")]; n != 0 {
 		t.Fatalf("constant node transitioned %d times", n)
+	}
+}
+
+// mixedZeroDelays is a custom delay table mixing 0-ps and non-zero gate
+// delays: every third combinational gate switches instantly, the rest
+// keep their fanout-loaded delay. Zero-delay gates schedule into the
+// time being drained, so it pins same-time insertion order.
+func mixedZeroDelays(c *netlist.Circuit) *delay.Table {
+	t := delay.BuildTable(c, delay.DefaultFanoutLoaded())
+	t.ModelName = "mixed-zero"
+	for i := range t.Delays {
+		if c.Nodes[i].Kind.IsCombinational() && i%3 == 0 {
+			t.Delays[i] = 0
+		}
+	}
+	return t
+}
+
+// wideSpanDelays is a custom delay table whose max/gcd delay ratio is
+// far beyond any time-queue bucket bound: most gates take 1 ps, every
+// seventh takes a node-dependent delay of up to ~2 µs, so events are
+// spread over a very long time axis at 1-ps resolution.
+func wideSpanDelays(c *netlist.Circuit) *delay.Table {
+	t := delay.BuildTable(c, delay.Unit{})
+	t.ModelName = "wide-span"
+	for i := range t.Delays {
+		if c.Nodes[i].Kind.IsCombinational() && i%7 == 0 {
+			t.Delays[i] = delay.Picoseconds(1_000_000 + 997*i)
+		}
+	}
+	return t
+}
+
+// eventDrivenGolden pins the event-driven simulator's observable output
+// over a random-stimulus run: FNV-1a digests of the per-cycle power
+// bits, of (LastEvents, LastSettleTime) per cycle, of the final count
+// vector, and of the observer's (id, t, v) commit sequence.
+type eventDrivenGolden struct {
+	circuit string
+	model   string
+	cycles  int
+	power   uint64
+	events  uint64
+	counts  uint64
+	commits uint64
+}
+
+// Captured from the heap-ordered engine before the event queue became a
+// timing wheel.
+var eventDrivenGoldens = []eventDrivenGolden{
+	{"s27", "zero", 1000, 0xa8b85f353be449da, 0xc792ebfb739a942a, 0xd4f41fd6555e7b2f, 0x33472a53a71a2411},
+	{"s27", "unit", 1000, 0x5fddff4dbb0d4f3c, 0xf5b041eccba9ab1b, 0xf6b2614d1ec24c4c, 0x6155d6692e4b0be6},
+	{"s27", "fanout", 1000, 0x25c22d96094f1f85, 0x811414163bba9f67, 0x646e28a46d475ac1, 0x87b6fd3e7ff35430},
+	{"s27", "mixed-zero", 1000, 0xa10d213c37bc4df2, 0x4bd979f64beb8be1, 0xf33e88905401b838, 0xc1f4537b928392aa},
+	{"s27", "wide-span", 1000, 0xdf6149d9a9e92710, 0x629215b32bfca1e3, 0x70f23d36a4b46766, 0x5c86cfcbad35f179},
+	{"s298", "zero", 300, 0x7d681ebb59bd612e, 0xc3673a5f88f3b8fe, 0x90f0fc52cac071c0, 0x1f7fbe483a20c479},
+	{"s298", "unit", 300, 0x321bf400684dbaf9, 0x9bbf636cace948df, 0xcf58874371cf55f3, 0xc916bb982eb87ca},
+	{"s298", "fanout", 300, 0x203db2e35d9eca99, 0x45135cbbb2fed53e, 0x607ce519f568be37, 0x8aa92d1930f2b8fe},
+	{"s298", "mixed-zero", 300, 0xceb949aa5bcca12, 0x6f8d1ba4bef2d26d, 0xc42ee70b190a6333, 0xccc0d925c6b85155},
+	{"s298", "wide-span", 300, 0x32de104153093043, 0xc8b5f7c58dced598, 0x42d19d0cb5413721, 0x15d3f0a9d80927ce},
+	{"s1494", "zero", 300, 0x8a4d1fb452a53e1d, 0xd2eb8e7c8379b1af, 0x47eb8d018a8c420a, 0x42533584eaad1456},
+	{"s1494", "unit", 300, 0x6197c078b6281c5a, 0xbb67fe28fcb9415b, 0x8ae101bd580b7fa0, 0xdff9ab3b18853295},
+	{"s1494", "fanout", 300, 0x42d629670b592242, 0x40c9d62b201b5056, 0x78491578ea5cfb35, 0xd280a4afef98ee46},
+	{"s1494", "mixed-zero", 300, 0xf24e089b0476450e, 0xb4f71d326ca1aa74, 0xd99330ed38339388, 0x789669663a5b8e07},
+	{"s1494", "wide-span", 300, 0xc003715b28f4e984, 0x5e941f39b24e49a3, 0xf2298ae3ed219315, 0x25ca17a12c35fc73},
+	{"scaled5", "zero", 300, 0xf3406b627344c75c, 0x6754eb542857f514, 0x5c7872162172fe94, 0x34fdf8e25b245746},
+	{"scaled5", "unit", 300, 0xeb3013362510075c, 0x67126ea3044feb72, 0x9d7d844ac412f27e, 0xb1e91f6bd41dc068},
+	{"scaled5", "fanout", 300, 0xe823aa7b7abb5849, 0x660a19d764bfc569, 0x75e00294a081ad64, 0xa8bb6544e3326442},
+	{"scaled5", "mixed-zero", 300, 0x268cd4f247472a4e, 0x676ef84becfd4b20, 0xe8a1f274f6499cd8, 0x53eb569d69fa3caa},
+	{"scaled5", "wide-span", 300, 0xa4ea59cd65e4c1ff, 0xd8e38046f6111598, 0x6ebdfff4c2c546ca, 0xbe5f03dd6d3a67e2},
+}
+
+func goldenCircuit(t *testing.T, name string) *netlist.Circuit {
+	t.Helper()
+	if name == "scaled5" {
+		c, err := bench89.Generate(bench89.ScaledSignature(5, 800))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	return bench89.MustGet(name)
+}
+
+func goldenTable(c *netlist.Circuit, model string) *delay.Table {
+	switch model {
+	case "zero":
+		return delay.BuildTable(c, delay.Zero{})
+	case "unit":
+		return delay.BuildTable(c, delay.Unit{})
+	case "fanout":
+		return delay.BuildTable(c, delay.DefaultFanoutLoaded())
+	case "mixed-zero":
+		return mixedZeroDelays(c)
+	case "wide-span":
+		return wideSpanDelays(c)
+	}
+	panic("unknown golden delay model " + model)
+}
+
+// runEventDrivenGolden drives one simulator with counts and observer
+// attached and a twin without either, from the same random (pins,
+// state) stream; the twin's powers must match the observed run's bit
+// for bit (the two commit-loop variants).
+func runEventDrivenGolden(t *testing.T, c *netlist.Circuit, dt *delay.Table, cycles int) eventDrivenGolden {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(len(c.Nodes))))
+	w := make([]float64, c.NumNodes())
+	for i := range w {
+		w[i] = rng.Float64()
+	}
+	ed := NewEventDriven(c, dt)
+	twin := NewEventDriven(c, dt)
+	commits := fnv.New64a()
+	var rec [17]byte
+	ed.SetObserver(func(id netlist.NodeID, at delay.Picoseconds, v bool) {
+		binary.LittleEndian.PutUint32(rec[0:], uint32(id))
+		binary.LittleEndian.PutUint64(rec[4:], uint64(at))
+		rec[12] = 0
+		if v {
+			rec[12] = 1
+		}
+		commits.Write(rec[:13])
+	})
+	zd := NewZeroDelay(c)
+	vals := make([]bool, c.NumNodes())
+	tvals := make([]bool, c.NumNodes())
+	pins := make([]bool, len(c.Inputs))
+	q := make([]bool, len(c.Latches))
+	zd.Settle(vals, pins, q)
+	zd.Settle(tvals, pins, q)
+	counts := make([]uint64, c.NumNodes())
+	power, events := fnv.New64a(), fnv.New64a()
+	for cycle := 0; cycle < cycles; cycle++ {
+		for i := range pins {
+			pins[i] = rng.Intn(2) == 1
+		}
+		for i := range q {
+			q[i] = rng.Intn(2) == 1
+		}
+		p := ed.Cycle(vals, pins, q, w, counts)
+		if tp := twin.Cycle(tvals, pins, q, w, nil); math.Float64bits(tp) != math.Float64bits(p) {
+			t.Fatalf("%s/%s cycle %d: uncounted power %v, counted %v", c.Name, dt.ModelName, cycle, tp, p)
+		}
+		binary.LittleEndian.PutUint64(rec[0:], math.Float64bits(p))
+		power.Write(rec[:8])
+		binary.LittleEndian.PutUint64(rec[0:], ed.LastEvents)
+		binary.LittleEndian.PutUint64(rec[8:], uint64(ed.LastSettleTime))
+		events.Write(rec[:16])
+	}
+	cs := fnv.New64a()
+	for _, n := range counts {
+		binary.LittleEndian.PutUint64(rec[0:], n)
+		cs.Write(rec[:8])
+	}
+	return eventDrivenGolden{power: power.Sum64(), events: events.Sum64(), counts: cs.Sum64(), commits: commits.Sum64()}
+}
+
+// TestEventDrivenGoldens pins the event-driven engine bit for bit — per-
+// cycle power, event counts, settle times, count vectors and the exact
+// commit order — across circuits and delay models, including a table
+// mixing 0-ps and non-zero delays and one whose max/gcd delay ratio
+// forces wide time buckets. Any change to the event queue must keep
+// every digest.
+func TestEventDrivenGoldens(t *testing.T) {
+	for _, g := range eventDrivenGoldens {
+		c := goldenCircuit(t, g.circuit)
+		got := runEventDrivenGolden(t, c, goldenTable(c, g.model), g.cycles)
+		got.circuit, got.model, got.cycles = g.circuit, g.model, g.cycles
+		if got != g {
+			t.Errorf("%s/%s: got {power %#x events %#x counts %#x commits %#x}, want {%#x %#x %#x %#x}",
+				g.circuit, g.model, got.power, got.events, got.counts, got.commits,
+				g.power, g.events, g.counts, g.commits)
+		}
 	}
 }
