@@ -16,18 +16,36 @@ import (
 // This is the "general-delay circuit simulator" of the paper's two-phase
 // sampling scheme.
 //
-// Inertial semantics: a gate re-evaluation schedules its new output value
-// after the gate delay; a re-evaluation that returns the gate to its
+// Inertial semantics: a gate evaluation schedules its new output value
+// after the gate delay; an evaluation that returns the gate to its
 // current value cancels any pending change (pulse filtering). At most one
 // change per node is pending at any time.
 //
-// Events commit in (time, logic level, scheduling order). The level
-// tiebreak makes zero-delay (and equal-delay) event processing behave
-// like a levelized sweep, so delta-cycle artifacts cannot masquerade as
-// glitches: an upstream same-time change always lands before a
-// downstream gate commits, letting inertial cancellation absorb it. The
-// order fixes the float summation order of the cycle's power and the
-// sequence an observer sees.
+// The simulator is canonical — its result depends only on the circuit,
+// the delay table and the (old, new) source values, never on the order
+// in which same-time work happens to be queued:
+//
+//   - Each gate is evaluated once per instant, after all of that
+//     instant's fanin commits, and before its own level's due events
+//     commit. Fanins sit at strictly lower levels, so this is the
+//     levelized order (time, level). The simulator gets there without a
+//     second pass: a committed change evaluates its combinational fanout
+//     at once, and an evaluation of a gate already evaluated at this
+//     instant first rolls the gate's pending change back to how it stood
+//     before the instant — so only the last evaluation, the one that
+//     sees every fanin commit of the instant, takes effect. An
+//     evaluation at exactly a pending change's due time cancels it if
+//     the gate's function moved back: a change survives iff the gate's
+//     function does not change again within (τ, τ+d].
+//   - A cycle's power is summed after the cycle, in node-index order,
+//     adding w_i once per transition of node i (a touched-node bitmap is
+//     walked in ascending order). Under an all-zero delay table every
+//     node changes at most once, so the sum equals ZeroDelayToggle's bit
+//     for bit.
+//
+// Both rules are what the word-level engine behind
+// CompiledSession.StepSampledWith reproduces lane by lane (see
+// waveEngine): power bits, per-node counts and settled values.
 //
 // The pending events live in a timing wheel (a calendar queue). Slot
 // width is the gcd of the table's nonzero delays — so under the
@@ -36,16 +54,15 @@ import (
 // maxWheelSpan, in which case a slot may hold several times. The wheel
 // has the smallest power of two of slots above maxDelay/width + 1, so an
 // event is never scheduled a full turn ahead. A slot is a FIFO list of
-// its events in scheduling order, threaded through one shared event
-// pool. Draining a slot moves its earliest time's events, in order, onto
-// per-level FIFO lists (a bucket queue over logic levels) and commits
-// them level by level; the slot's later times (a widened slot) stay on
-// it for the next pass. An event scheduled for the time being drained —
-// a zero-delay gate, always at a higher level than the event that
-// scheduled it — joins the tail of its level's list. No sequence number
-// is stored: scheduling order is list order.
+// its events, threaded through one shared event pool. Draining a slot
+// moves its earliest time's events onto per-level FIFO lists (a bucket
+// queue over logic levels) and processes them level by level; the
+// slot's later times (a widened slot) stay on it for the next pass. An
+// event scheduled for the time being drained — a zero-delay gate,
+// evaluated at its own level — joins its level's list before the level
+// commits.
 //
-// The fanout walk and gate re-evaluation run over the circuit's CSR view
+// The fanout walk and gate evaluation run over the circuit's CSR view
 // (flat kind/level/fanin/fanout arrays).
 type EventDriven struct {
 	csr       *netlist.CSR
@@ -55,9 +72,9 @@ type EventDriven struct {
 	// wheel[s&mask] lists, in scheduling order, the pool indices of the
 	// events of absolute slot s — times in [s*width, (s+1)*width). free
 	// heads the pool's free list. queued counts the events on slot lists,
-	// stale ones included. now is the time being drained (-1 while the
-	// t=0 source changes are applied); its events wait on level[l], and
-	// occupied has bit l set while level[l] is non-empty.
+	// stale ones included. now is the time being drained (-1 between
+	// cycles); its events wait on level[l], and occupied has bit l set
+	// while level[l] is non-empty.
 	wheel    []eventList
 	mask     int64
 	width    delay.Picoseconds
@@ -68,9 +85,21 @@ type EventDriven struct {
 	level    []eventList
 	occupied []uint64
 
-	pendingVal    []bool
-	pendingActive []bool
-	pendingGen    []uint32
+	// pend[g] is gate g's pending change; an event is live iff its gate
+	// has an active pending change of the event's gen. gen numbers the
+	// scheduled events. instant numbers the drained times; evalAt[g] ==
+	// instant once gate g has been evaluated at the current time, and
+	// undo[g] then holds its pending change from before that time.
+	pend    []pending
+	undo    []pending
+	evalAt  []uint32
+	gen     uint32
+	instant uint32
+
+	// toggles[i] counts node i's transitions in the running cycle;
+	// touched has bit i set while toggles[i] != 0.
+	toggles []uint32
+	touched []uint64
 
 	// LastSettleTime is the simulated time at which the previous Cycle
 	// quiesced; callers can check it against the clock period.
@@ -85,6 +114,12 @@ type EventDriven struct {
 	observer func(id netlist.NodeID, t delay.Picoseconds, v bool)
 }
 
+// pending is a gate's scheduled output change.
+type pending struct {
+	gen         uint32
+	val, active bool
+}
+
 type event struct {
 	t     delay.Picoseconds
 	level int32
@@ -93,8 +128,8 @@ type event struct {
 	next  int32 // pool index of the next event on its list, -1 at the tail
 }
 
-// eventList is a FIFO of pool indices (head -1 = empty): one wheel slot,
-// or one logic level of the time being drained.
+// eventList is a FIFO of pool indices (head -1 = empty): one wheel
+// slot, or one logic level of the time being drained.
 type eventList struct{ head, tail int32 }
 
 // maxWheelSpan bounds maxDelay/width: a delay table whose max/gcd ratio
@@ -151,23 +186,26 @@ func NewEventDriven(c *netlist.Circuit, dt *delay.Table) *EventDriven {
 	}
 	width, slots := wheelGeometry(dt.Delays)
 	e := &EventDriven{
-		csr:           r,
-		delays:        dt.Delays,
-		modelName:     dt.ModelName,
-		wheel:         make([]eventList, slots),
-		mask:          int64(slots - 1),
-		width:         width,
-		level:         make([]eventList, levels),
-		occupied:      make([]uint64, (levels+63)/64),
-		pendingVal:    make([]bool, n),
-		pendingActive: make([]bool, n),
-		pendingGen:    make([]uint32, n),
+		csr:       r,
+		delays:    dt.Delays,
+		modelName: dt.ModelName,
+		wheel:     make([]eventList, slots),
+		mask:      int64(slots - 1),
+		width:     width,
+		level:     make([]eventList, levels),
+		occupied:  make([]uint64, (levels+63)/64),
+		pend:      make([]pending, n),
+		undo:      make([]pending, n),
+		evalAt:    make([]uint32, n),
+		toggles:   make([]uint32, n),
+		touched:   make([]uint64, (n+63)/64),
 	}
 	e.resetQueue()
 	return e
 }
 
-// resetQueue empties the wheel, the level lists and the event pool.
+// resetQueue empties the wheel, the level lists, the event pool, the
+// pending changes and the cycle's toggle tally.
 func (e *EventDriven) resetQueue() {
 	for i := range e.wheel {
 		e.wheel[i].head = -1
@@ -175,7 +213,12 @@ func (e *EventDriven) resetQueue() {
 	for i := range e.level {
 		e.level[i].head = -1
 	}
+	clear(e.pend)
+	clear(e.evalAt)
+	e.instant = 1
 	clear(e.occupied)
+	clear(e.toggles)
+	clear(e.touched)
 	e.pool, e.free, e.queued, e.now = e.pool[:0], -1, 0, -1
 }
 
@@ -186,50 +229,37 @@ func (e *EventDriven) resetQueue() {
 // weights[i] is the power contribution of one transition at node i (zero
 // to exclude a node, e.g. primary inputs whose transitions are paid by
 // the external driver). The weighted sum over all transitions is
-// returned. If counts is non-nil, counts[i] is incremented once per
-// transition at node i (it is not cleared first, so callers can
-// accumulate energy breakdowns over many cycles).
+// returned, added in node-index order once per transition. If counts is
+// non-nil, counts[i] is incremented once per transition at node i (it is
+// not cleared first, so callers can accumulate energy breakdowns over
+// many cycles).
 func (e *EventDriven) Cycle(vals []bool, newPins, newQ []bool, weights []float64, counts []uint64) float64 {
 	r := e.csr
-	sum := 0.0
 	e.LastEvents = 0
 	e.LastSettleTime = 0
 	// The wheel is always drained by the previous Cycle; an aborted one
-	// (a panicking observer) must not leak stale events into this one.
+	// (a panicking observer) must not leak stale work into this one.
 	if e.queued != 0 || e.now != -1 {
 		e.resetQueue()
 	}
 
 	// Apply simultaneous source changes at t=0: the clock edge updates
 	// latch outputs while the environment presents the next pattern.
+	e.now = 0
+	e.nextInstant()
 	for i, id := range r.Inputs {
 		if vals[id] != newPins[i] {
 			vals[id] = newPins[i]
-			sum += weights[id]
-			if counts != nil {
-				counts[id]++
-			}
-			if e.observer != nil {
-				e.observer(netlist.NodeID(id), 0, vals[id])
-			}
-			e.LastEvents++
-			e.fanoutEval(id, 0, vals)
+			e.commit(id, 0, vals)
 		}
 	}
 	for i, id := range r.Latches {
 		if vals[id] != newQ[i] {
 			vals[id] = newQ[i]
-			sum += weights[id]
-			if counts != nil {
-				counts[id]++
-			}
-			if e.observer != nil {
-				e.observer(netlist.NodeID(id), 0, vals[id])
-			}
-			e.LastEvents++
-			e.fanoutEval(id, 0, vals)
+			e.commit(id, 0, vals)
 		}
 	}
+	e.drainLevels(vals)
 
 	// Propagate to quiescence: wheel slots in time order, each drained
 	// one time at a time (a widened slot may hold several), each time
@@ -237,10 +267,31 @@ func (e *EventDriven) Cycle(vals []bool, newPins, newQ []bool, weights []float64
 	for sl := int64(0); e.queued > 0; sl++ {
 		for slot := &e.wheel[sl&e.mask]; slot.head >= 0; {
 			e.takeEarliest(slot)
-			sum = e.drainLevels(sum, vals, weights, counts)
+			e.drainLevels(vals)
 		}
 	}
 	e.now = -1
+	return e.sumToggles(weights, counts)
+}
+
+// sumToggles adds the running cycle's power in node-index order, w_i
+// once per transition of node i, credits counts, and clears the tally.
+func (e *EventDriven) sumToggles(weights []float64, counts []uint64) float64 {
+	sum := 0.0
+	for w, word := range e.touched {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			n, wt := e.toggles[i], weights[i]
+			for k := n; k > 0; k-- {
+				sum += wt
+			}
+			if counts != nil {
+				counts[i] += uint64(n)
+			}
+			e.toggles[i] = 0
+		}
+		e.touched[w] = 0
+	}
 	return sum
 }
 
@@ -266,6 +317,16 @@ func (e *EventDriven) takeEarliest(slot *eventList) {
 		i = next
 	}
 	e.now = first
+	e.nextInstant()
+}
+
+// nextInstant starts a new drained time: no gate has been evaluated at
+// it yet.
+func (e *EventDriven) nextInstant() {
+	if e.instant++; e.instant == 0 {
+		clear(e.evalAt)
+		e.instant = 1
+	}
 }
 
 // appendLevel links pool event i at the tail of its level's list.
@@ -286,12 +347,12 @@ func (e *EventDriven) appendTo(l *eventList, i int32) {
 	l.tail = i
 }
 
-// drainLevels commits the events of time e.now in (level, scheduling
-// order), adding each committed transition's weight to sum in that order,
-// and returns the power sum. Committed events re-evaluate their fanout,
-// which may append to higher levels only, so the ascending scan of the
-// occupied bitmap sees them. Drained lists go back to the free list.
-func (e *EventDriven) drainLevels(sum float64, vals []bool, weights []float64, counts []uint64) float64 {
+// drainLevels commits the live events of time e.now in (level,
+// scheduling order). Committed events evaluate their fanout, which may
+// append to higher levels only (a zero-delay gate), so the ascending
+// scan of the occupied bitmap sees them. Drained lists go back to the
+// free list.
+func (e *EventDriven) drainLevels(vals []bool) {
 	for w := range e.occupied {
 		for e.occupied[w] != 0 {
 			l := w<<6 | bits.TrailingZeros64(e.occupied[w])
@@ -301,26 +362,33 @@ func (e *EventDriven) drainLevels(sum float64, vals []bool, weights []float64, c
 			for i := list.head; i >= 0; i = e.pool[i].next {
 				ev := e.pool[i]
 				id := ev.node
-				if !e.pendingActive[id] || e.pendingGen[id] != ev.gen {
+				p := &e.pend[id]
+				if !p.active || p.gen != ev.gen {
 					continue // cancelled or superseded
 				}
-				e.pendingActive[id] = false
-				vals[id] = e.pendingVal[id]
-				sum += weights[id]
-				if counts != nil {
-					counts[id]++
-				}
-				if e.observer != nil {
-					e.observer(id, ev.t, vals[id])
-				}
-				e.LastEvents++
-				e.LastSettleTime = ev.t
-				e.fanoutEval(int32(id), ev.t, vals)
+				p.active = false
+				vals[id] = p.val
+				e.commit(int32(id), ev.t, vals)
 			}
 			e.pool[list.tail].next, e.free = e.free, list.head
 		}
 	}
-	return sum
+}
+
+// commit records node id's transition at time t (vals already holds the
+// new value) and evaluates its combinational fanout at t.
+func (e *EventDriven) commit(id int32, t delay.Picoseconds, vals []bool) {
+	r := e.csr
+	e.toggles[id]++
+	e.touched[id>>6] |= 1 << (id & 63)
+	if e.observer != nil {
+		e.observer(netlist.NodeID(id), t, vals[id])
+	}
+	e.LastEvents++
+	e.LastSettleTime = t
+	for _, g := range r.GateFanoutList[r.GateFanoutIdx[id]:r.GateFanoutIdx[id+1]] {
+		e.evaluate(g, vals)
+	}
 }
 
 // CyclePower implements PowerEngine; it is Cycle under the interface's
@@ -343,29 +411,40 @@ func (e *EventDriven) SetObserver(fn func(id netlist.NodeID, t delay.Picoseconds
 	e.observer = fn
 }
 
-// fanoutEval re-evaluates every combinational gate driven by id at time t.
-// It walks the CSR gate-fanout row of the node (non-combinational sinks —
-// DFF D pins — are excluded at Freeze time).
-func (e *EventDriven) fanoutEval(id int32, t delay.Picoseconds, vals []bool) {
+// evaluate evaluates gate g at time e.now against its fanins' current
+// values and applies the inertial rule to the gate's pending change as it
+// stood before this instant: a pending change to the wrong value is
+// cancelled, and a new value is scheduled one gate delay later. A
+// repeated evaluation at the same instant replaces the earlier one: a
+// cancellation is undone, and an event it scheduled is kept only if it
+// still carries the right value (every evaluation at an instant
+// schedules for the same time), else left stale.
+func (e *EventDriven) evaluate(g int32, vals []bool) {
 	r := e.csr
-	for _, g := range r.GateFanoutList[r.GateFanoutIdx[id]:r.GateFanoutIdx[id+1]] {
-		newv := evalCSR(vals, r.Kind[g], r.FaninList[r.FaninIdx[g]:r.FaninIdx[g+1]])
-		if e.pendingActive[g] {
-			if e.pendingVal[g] == newv {
-				continue // already scheduled to the right value
-			}
-			// Inertial cancellation of the pending (now wrong) change.
-			e.pendingGen[g]++
-			e.pendingActive[g] = false
-		}
-		if newv == vals[g] {
-			continue
-		}
-		e.pendingVal[g] = newv
-		e.pendingActive[g] = true
-		e.pendingGen[g]++
-		e.schedule(event{t: t + e.delays[g], level: r.Level[g],
-			node: netlist.NodeID(g), gen: e.pendingGen[g]})
+	p := &e.pend[g]
+	base := *p
+	if e.evalAt[g] != e.instant {
+		e.evalAt[g] = e.instant
+		e.undo[g] = base
+	} else {
+		base = e.undo[g]
+	}
+	newv := evalCSR(vals, r.Kind[g], r.FaninList[r.FaninIdx[g]:r.FaninIdx[g+1]])
+	switch {
+	case base.active && base.val == newv:
+		*p = base // the pending change already goes to the right value
+	case newv == vals[g]:
+		p.active = false // inertial cancellation, or nothing to do
+	case p.active && p.val == newv && p.gen != base.gen:
+		// Scheduled to the right value earlier in this instant.
+	default:
+		// Every scheduled event gets a fresh gen, so an event left stale
+		// by a cancellation or a replaced evaluation never turns live
+		// again.
+		e.gen++
+		*p = pending{gen: e.gen, val: newv, active: true}
+		e.schedule(event{t: e.now + e.delays[g], level: r.Level[g],
+			node: netlist.NodeID(g), gen: e.gen})
 	}
 }
 

@@ -396,29 +396,30 @@ type eventDrivenGolden struct {
 	commits uint64
 }
 
-// Captured from the heap-ordered engine before the event queue became a
-// timing wheel.
+// Captured from the canonical engine (each gate evaluated once per
+// instant after its fanins commit; power summed after the cycle in
+// node-index order).
 var eventDrivenGoldens = []eventDrivenGolden{
-	{"s27", "zero", 1000, 0xa8b85f353be449da, 0xc792ebfb739a942a, 0xd4f41fd6555e7b2f, 0x33472a53a71a2411},
-	{"s27", "unit", 1000, 0x5fddff4dbb0d4f3c, 0xf5b041eccba9ab1b, 0xf6b2614d1ec24c4c, 0x6155d6692e4b0be6},
-	{"s27", "fanout", 1000, 0x25c22d96094f1f85, 0x811414163bba9f67, 0x646e28a46d475ac1, 0x87b6fd3e7ff35430},
-	{"s27", "mixed-zero", 1000, 0xa10d213c37bc4df2, 0x4bd979f64beb8be1, 0xf33e88905401b838, 0xc1f4537b928392aa},
-	{"s27", "wide-span", 1000, 0xdf6149d9a9e92710, 0x629215b32bfca1e3, 0x70f23d36a4b46766, 0x5c86cfcbad35f179},
-	{"s298", "zero", 300, 0x7d681ebb59bd612e, 0xc3673a5f88f3b8fe, 0x90f0fc52cac071c0, 0x1f7fbe483a20c479},
-	{"s298", "unit", 300, 0x321bf400684dbaf9, 0x9bbf636cace948df, 0xcf58874371cf55f3, 0xc916bb982eb87ca},
-	{"s298", "fanout", 300, 0x203db2e35d9eca99, 0x45135cbbb2fed53e, 0x607ce519f568be37, 0x8aa92d1930f2b8fe},
-	{"s298", "mixed-zero", 300, 0xceb949aa5bcca12, 0x6f8d1ba4bef2d26d, 0xc42ee70b190a6333, 0xccc0d925c6b85155},
-	{"s298", "wide-span", 300, 0x32de104153093043, 0xc8b5f7c58dced598, 0x42d19d0cb5413721, 0x15d3f0a9d80927ce},
-	{"s1494", "zero", 300, 0x8a4d1fb452a53e1d, 0xd2eb8e7c8379b1af, 0x47eb8d018a8c420a, 0x42533584eaad1456},
-	{"s1494", "unit", 300, 0x6197c078b6281c5a, 0xbb67fe28fcb9415b, 0x8ae101bd580b7fa0, 0xdff9ab3b18853295},
-	{"s1494", "fanout", 300, 0x42d629670b592242, 0x40c9d62b201b5056, 0x78491578ea5cfb35, 0xd280a4afef98ee46},
-	{"s1494", "mixed-zero", 300, 0xf24e089b0476450e, 0xb4f71d326ca1aa74, 0xd99330ed38339388, 0x789669663a5b8e07},
-	{"s1494", "wide-span", 300, 0xc003715b28f4e984, 0x5e941f39b24e49a3, 0xf2298ae3ed219315, 0x25ca17a12c35fc73},
-	{"scaled5", "zero", 300, 0xf3406b627344c75c, 0x6754eb542857f514, 0x5c7872162172fe94, 0x34fdf8e25b245746},
-	{"scaled5", "unit", 300, 0xeb3013362510075c, 0x67126ea3044feb72, 0x9d7d844ac412f27e, 0xb1e91f6bd41dc068},
-	{"scaled5", "fanout", 300, 0xe823aa7b7abb5849, 0x660a19d764bfc569, 0x75e00294a081ad64, 0xa8bb6544e3326442},
-	{"scaled5", "mixed-zero", 300, 0x268cd4f247472a4e, 0x676ef84becfd4b20, 0xe8a1f274f6499cd8, 0x53eb569d69fa3caa},
-	{"scaled5", "wide-span", 300, 0xa4ea59cd65e4c1ff, 0xd8e38046f6111598, 0x6ebdfff4c2c546ca, 0xbe5f03dd6d3a67e2},
+	{"s27", "zero", 1000, 0xc47789bfdc10e228, 0xc792ebfb739a942a, 0xd4f41fd6555e7b2f, 0x33472a53a71a2411},
+	{"s27", "unit", 1000, 0xbd486b158c979e05, 0xf5b041eccba9ab1b, 0xf6b2614d1ec24c4c, 0x6155d6692e4b0be6},
+	{"s27", "fanout", 1000, 0x8db76c2fc29ed09f, 0x811414163bba9f67, 0x646e28a46d475ac1, 0x87b6fd3e7ff35430},
+	{"s27", "mixed-zero", 1000, 0x19428e09bdfd4f6b, 0x4bd979f64beb8be1, 0xf33e88905401b838, 0xc1f4537b928392aa},
+	{"s27", "wide-span", 1000, 0x22af0a993fd65c72, 0x629215b32bfca1e3, 0x70f23d36a4b46766, 0x5c86cfcbad35f179},
+	{"s298", "zero", 300, 0x671ffcf7f88e6a8a, 0xc3673a5f88f3b8fe, 0x90f0fc52cac071c0, 0x1f7fbe483a20c479},
+	{"s298", "unit", 300, 0x5217cfb4ed04f2ba, 0x9bbf636cace948df, 0xcf58874371cf55f3, 0xc916bb982eb87ca},
+	{"s298", "fanout", 300, 0x20cfb6f5f6c0ab9, 0x45135cbbb2fed53e, 0x607ce519f568be37, 0x8aa92d1930f2b8fe},
+	{"s298", "mixed-zero", 300, 0xd5d46c3efb20d8cd, 0x6f8d1ba4bef2d26d, 0xc42ee70b190a6333, 0xccc0d925c6b85155},
+	{"s298", "wide-span", 300, 0xbb328902678de6b7, 0xc8b5f7c58dced598, 0x42d19d0cb5413721, 0x15d3f0a9d80927ce},
+	{"s1494", "zero", 300, 0x61b1aef09993203e, 0xd2eb8e7c8379b1af, 0x47eb8d018a8c420a, 0x42533584eaad1456},
+	{"s1494", "unit", 300, 0x52a60f0edfd93541, 0xa8c9c5eb6bd0dbd8, 0xd929d289f23e1ec4, 0xe983d3a22ae14b9a},
+	{"s1494", "fanout", 300, 0x6adc40685e4a31eb, 0x40c9d62b201b5056, 0x78491578ea5cfb35, 0xd280a4afef98ee46},
+	{"s1494", "mixed-zero", 300, 0x8e32eb3dfdb5920c, 0xb4f71d326ca1aa74, 0xd99330ed38339388, 0x789669663a5b8e07},
+	{"s1494", "wide-span", 300, 0x7887c24a297aad1e, 0x5e941f39b24e49a3, 0xf2298ae3ed219315, 0x25ca17a12c35fc73},
+	{"scaled5", "zero", 300, 0xf0ca6c5a69f59e93, 0x6754eb542857f514, 0x5c7872162172fe94, 0x34fdf8e25b245746},
+	{"scaled5", "unit", 300, 0x7dbec5579b17d05e, 0x35870e3c476b9dd3, 0xd5f07c6c9c47d1fc, 0x16eea769e496a396},
+	{"scaled5", "fanout", 300, 0x707055a9489d241f, 0x660a19d764bfc569, 0x75e00294a081ad64, 0xa8bb6544e3326442},
+	{"scaled5", "mixed-zero", 300, 0xb6b2d13e8282d91f, 0x676ef84becfd4b20, 0xe8a1f274f6499cd8, 0x53eb569d69fa3caa},
+	{"scaled5", "wide-span", 300, 0xfc4f0f2f94530dcd, 0x492218a6eea47dc2, 0x5e6484424dc6bebc, 0x8ad9b89d3c414a6a},
 }
 
 func goldenCircuit(t *testing.T, name string) *netlist.Circuit {
