@@ -238,6 +238,33 @@ func BenchmarkPackedSampled(b *testing.B) {
 	}
 }
 
+// BenchmarkGeneralDelaySampled measures one general-delay sampled cycle
+// of a 512-lane compiled session: every lane observed under the default
+// fanout-loaded delays by the word-level waveform engine, 64 lanes per
+// machine word. ns/op covers all 512 lanes; cycles/sec counts
+// per-replication cycles, comparable with BenchmarkPackedSampled.
+func BenchmarkGeneralDelaySampled(b *testing.B) {
+	for _, name := range []string{"s1494", "s5378"} {
+		c := bench89.MustGet(name)
+		tb := dipe.NewTestbench(c)
+		b.Run(name, func(b *testing.B) {
+			srcs := make([]vectors.Source, sim.CompiledMaxLanes)
+			for k := range srcs {
+				srcs[k] = vectors.NewIID(len(c.Inputs), 0.5, int64(k+1))
+			}
+			s := sim.NewCompiledSession(c, srcs)
+			ed := sim.NewEventDriven(c, tb.Delays)
+			powers := make([]float64, sim.CompiledMaxLanes)
+			s.StepHiddenN(16)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.StepSampledWith(ed, tb.Weights(), powers)
+			}
+			b.ReportMetric(float64(b.N*sim.CompiledMaxLanes)/b.Elapsed().Seconds(), "cycles/sec")
+		})
+	}
+}
+
 // BenchmarkPackedSampledZeroDelay measures one packed zero-delay
 // sampled cycle: all 64 lanes observed by word-level transition
 // counting, no scalar extraction at all.

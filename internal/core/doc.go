@@ -21,15 +21,18 @@
 // runs on a one-lane compiled or packed session whose samples are
 // bit-identical to the scalar sim.Session that SelectInterval, ZTrace,
 // Diagnose and Estimate take — both drive one unexported selection
-// loop. The Ctx variants add cooperative cancellation (covering
+// loop, the one-lane session observing each trial's sampled cycles as
+// the stacked lanes of one word-level pass. The Ctx variants add cooperative cancellation (covering
 // interval selection too, via SelectIntervalCtx), and Options.Progress
 // streams running snapshots with a guaranteed terminal snapshot — the
 // hooks the dipe-server job manager is built on.
 //
 // Options.Mode selects the power-observation scenario (power.PowerMode):
-// the default general-delay mode observes sampled cycles with per-lane
-// event-driven simulation, the zero-delay mode with word-parallel packed
-// transition counting, making sampled cycles as cheap as hidden ones.
+// the default general-delay mode observes sampled cycles with
+// event-driven simulation — 64 lanes per machine word on the compiled
+// backend, each lane bit-identical to the scalar simulator — the
+// zero-delay mode with word-parallel packed transition counting, making
+// sampled cycles as cheap as hidden ones.
 // Result.Engine and Result.DelayModel record what a run actually used.
 //
 // Options.Variance selects a variance-reduction transform (vr.Spec):
@@ -37,7 +40,7 @@
 // same-cycle zero-delay toggle power. ResolvePlan freezes the transform
 // into a vr.Plan after interval selection — regression-estimating the
 // coefficient from the phase-1 sequence and the covariate mean from a
-// packed pre-run — and both the in-process estimator and the cluster
+// zero-delay lane-session pre-run — and both the in-process estimator and the cluster
 // coordinator apply the identical plan, keeping distributed runs
 // bit-identical. The Merger folds antithetic rounds to pair means, so
 // pairing is a pure function of the canonical merge order.

@@ -48,90 +48,29 @@ type IntervalSelection struct {
 	Toggles []uint64
 }
 
-// sampler is the single-replication stepping surface of phase 1 and of
-// the sequence collectors built on it: hidden cycles, sampled cycles
-// observed by the run's scalar power engine, and sampled cycles that
-// also report the zero-delay toggle covariate. A scalar *sim.Session is
-// one (the exported session-based entry points); the parallel
-// estimators drive one lane of a compiled or packed lane session
-// (laneSampler). Both observe bit-identical samples.
+// sampler is the single-replication surface of phase 1 and of the
+// sequence collectors built on it: hidden cycles, and the collection of
+// a sequence of sampled cycles observed by the run's power engine,
+// optionally with each cycle's zero-delay toggle covariate. A scalar
+// *sim.Session is one (sessionSampler: the exported session-based entry
+// points); the parallel estimators drive one lane of a compiled or
+// packed lane session (laneSampler). Both observe bit-identical samples.
 type sampler interface {
 	Circuit() *netlist.Circuit
 	StepHiddenN(n int)
-	StepSampled(counts []uint64) float64
-	StepSampledPair(counts []uint64) (x, c float64)
+	// collect appends n samples, separated by k hidden cycles each, to
+	// dst, and their covariates to cov when cov is non-nil; counts, when
+	// non-nil, accumulates the samples' per-node transition counts. It
+	// polls ctx every ctxCheckEvery samples and returns ctx.Err() when
+	// cancelled.
+	collect(ctx context.Context, k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64, error)
 }
 
-// laneSampler is a one-lane LaneSession behind the sampler interface.
-// Hidden cycles run the backend's hidden step (the compiled Step
-// program); sampled cycles hand the lane to the scalar engine of the
-// run's power mode through StepSampledWith, or StepSampledBoth for the
-// covariate pair. Lane k of a lane session is bit-identical to a scalar
-// Session over the same source, and the engine is the one
-// Testbench.NewSessionMode would install, so every sample, count and
-// cycle tally equals the scalar route's. Unlike the sampling phase it
-// never takes sampledEngine's all-zero-table upgrade: the word-level
-// zero-delay sum adds in node order, not event order, and phase 1
-// reproduces the scalar engine's float summation exactly.
-type laneSampler struct {
-	ls      sim.LaneSession
-	engine  sim.PowerEngine
-	weights []float64
-	x, c    [1]float64
-}
+// sessionSampler observes each sampled cycle of a scalar session as it
+// is stepped.
+type sessionSampler struct{ *sim.Session }
 
-// newLaneSampler builds the one-lane sampler over src. One lane is one
-// word per register row — too little work per logic level to split
-// across session workers, so only the cache budget is passed on.
-func newLaneSampler(tb *Testbench, src vectors.Source, opts Options) *laneSampler {
-	return &laneSampler{
-		ls: sim.NewLaneSessionConfig(opts.Backend, tb.Circuit, []vectors.Source{src},
-			sim.SessionConfig{CacheBudget: opts.CacheBudget}),
-		engine:  tb.Engine(opts.Mode),
-		weights: tb.Weights(),
-	}
-}
-
-func (s *laneSampler) Circuit() *netlist.Circuit { return s.ls.Circuit() }
-
-func (s *laneSampler) StepHiddenN(n int) { s.ls.StepHiddenN(n) }
-
-func (s *laneSampler) StepSampled(counts []uint64) float64 {
-	s.ls.AccumulateToggles(counts)
-	s.ls.StepSampledWith(s.engine, s.weights, s.x[:])
-	return s.x[0]
-}
-
-func (s *laneSampler) StepSampledPair(counts []uint64) (x, c float64) {
-	s.ls.AccumulateToggles(counts)
-	s.ls.StepSampledBoth(s.engine, s.weights, s.x[:], s.c[:])
-	return s.x[0], s.c[0]
-}
-
-// collectSequence gathers n power samples, separated by k hidden
-// (zero-delay) cycles each, into dst. It polls ctx every ctxCheckEvery
-// samples and returns early with ctx.Err() when cancelled, so one trial
-// on a large circuit cannot pin a worker past a cancellation request.
-func collectSequence(ctx context.Context, s sampler, k, n int, dst []float64) ([]float64, error) {
-	dst, _, err := collectSequencePairs(ctx, s, k, n, dst, nil, nil)
-	return dst, err
-}
-
-// collectSequencePairs is collectSequence with an optional covariate
-// buffer: when cov is non-nil it also records each cycle's zero-delay
-// toggle power (StepSampledPair), leaving the sample values and the
-// session trajectory bit-identical to the plain collection. A non-nil
-// counts buffer (len NumNodes) is zeroed and accumulates the sequence's
-// per-node transition counts, so after an accepted trial it holds
-// exactly the accepted sequence's toggles.
-func collectSequencePairs(ctx context.Context, s sampler, k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64, error) {
-	dst = dst[:0]
-	if cov != nil {
-		cov = cov[:0]
-	}
-	for i := range counts {
-		counts[i] = 0
-	}
+func (s sessionSampler) collect(ctx context.Context, k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64, error) {
 	for i := 0; i < n; i++ {
 		if i%ctxCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -148,6 +87,112 @@ func collectSequencePairs(ctx context.Context, s sampler, k, n int, dst, cov []f
 		}
 	}
 	return dst, cov, nil
+}
+
+// laneSampler is a one-lane LaneSession behind the sampler interface.
+// Hidden cycles run the backend's hidden step (the compiled Step
+// program). Under zero-delay observation a sampled cycle is the
+// backend's word-level zero-delay step, whose toggle power is both the
+// sample and the covariate. Under event-driven observation each sampled
+// cycle is recorded (StepSampledRecord, which also yields the covariate)
+// as one lane of a sim.CycleStack, and the sequence is observed in one
+// word-level pass once collected: the lane's trajectory does not depend
+// on its observation, so every sample, count and cycle tally equals the
+// scalar route's, with the engine Testbench.NewSessionMode would
+// install.
+type laneSampler struct {
+	ls      sim.LaneSession
+	ed      *sim.EventDriven // nil under zero-delay observation
+	weights []float64
+	tog     [1]float64
+
+	stack  *sim.CycleStack // built at the first collection
+	powers []float64
+}
+
+// newLaneSampler builds the one-lane sampler over src. One lane is one
+// word per register row — too little work per logic level to split
+// across session workers, so only the cache budget is passed on.
+func newLaneSampler(tb *Testbench, src vectors.Source, opts Options) *laneSampler {
+	ed, _ := tb.Engine(opts.Mode).(*sim.EventDriven)
+	return &laneSampler{
+		ls: sim.NewLaneSessionConfig(opts.Backend, tb.Circuit, []vectors.Source{src},
+			sim.SessionConfig{CacheBudget: opts.CacheBudget}),
+		ed:      ed,
+		weights: tb.Weights(),
+	}
+}
+
+func (s *laneSampler) Circuit() *netlist.Circuit { return s.ls.Circuit() }
+
+func (s *laneSampler) StepHiddenN(n int) { s.ls.StepHiddenN(n) }
+
+func (s *laneSampler) collect(ctx context.Context, k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64, error) {
+	var tog []float64 // the covariate, when wanted
+	if cov != nil {
+		tog = s.tog[:]
+	}
+	if s.ed == nil {
+		s.ls.AccumulateToggles(counts)
+	} else if s.stack == nil {
+		s.stack = sim.NewCycleStack(s.ls.Circuit(), min(n, sim.CompiledMaxLanes))
+		s.powers = make([]float64, s.stack.Cap())
+	}
+	for i := 0; i < n; i++ {
+		if i%ctxCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return dst, cov, err
+			}
+		}
+		s.ls.StepHiddenN(k)
+		if s.ed == nil {
+			s.ls.StepSampled(s.weights, s.tog[:])
+			dst = append(dst, s.tog[0])
+		} else {
+			s.ls.StepSampledRecord(s.stack, s.weights, tog)
+			if s.stack.Len() == s.stack.Cap() {
+				dst = s.observe(dst, counts)
+			}
+		}
+		if cov != nil {
+			cov = append(cov, s.tog[0])
+		}
+	}
+	if s.ed != nil {
+		dst = s.observe(dst, counts)
+	}
+	return dst, cov, nil
+}
+
+// observe appends the recorded cycles' general-delay powers to dst.
+func (s *laneSampler) observe(dst []float64, counts []uint64) []float64 {
+	n := s.stack.Len()
+	s.stack.Observe(s.ed, s.weights, s.powers, counts)
+	return append(dst, s.powers[:n]...)
+}
+
+// collectSequence gathers n power samples, separated by k hidden
+// (zero-delay) cycles each, into dst. It returns early with ctx.Err()
+// when cancelled, so one trial on a large circuit cannot pin a worker
+// past a cancellation request.
+func collectSequence(ctx context.Context, s sampler, k, n int, dst []float64) ([]float64, error) {
+	dst, _, err := collectSequencePairs(ctx, s, k, n, dst, nil, nil)
+	return dst, err
+}
+
+// collectSequencePairs is collectSequence with an optional covariate
+// buffer: when cov is non-nil it also records each cycle's zero-delay
+// toggle power, leaving the sample values and the session trajectory
+// bit-identical to the plain collection. A non-nil counts buffer (len
+// NumNodes) is zeroed and accumulates the sequence's per-node transition
+// counts, so after an accepted trial it holds exactly the accepted
+// sequence's toggles.
+func collectSequencePairs(ctx context.Context, s sampler, k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64, error) {
+	if cov != nil {
+		cov = cov[:0]
+	}
+	clear(counts)
+	return s.collect(ctx, k, n, dst[:0], cov, counts)
 }
 
 // ctxCheckEvery is the cancellation-poll cadence of sequence collection,
@@ -170,7 +215,7 @@ func SelectInterval(s *sim.Session, opts Options) (IntervalSelection, error) {
 // manager relies on this to abort jobs that are still selecting an
 // interval on a large uploaded circuit.
 func SelectIntervalCtx(ctx context.Context, s *sim.Session, opts Options) (IntervalSelection, error) {
-	return selectInterval(ctx, s, opts)
+	return selectInterval(ctx, sessionSampler{s}, opts)
 }
 
 // selectInterval is the Fig. 2 loop over any sampler: the scalar
@@ -259,7 +304,7 @@ func ZTrace(s *sim.Session, opts Options, maxK, seqLen int) ([]ZPoint, error) {
 	out := make([]ZPoint, 0, maxK+1)
 	seq := make([]float64, 0, seqLen)
 	for k := 0; k <= maxK; k++ {
-		seq, _ = collectSequence(context.Background(), s, k, seqLen, seq)
+		seq, _ = collectSequence(context.Background(), sessionSampler{s}, k, seqLen, seq)
 		res := opts.Test.Apply(seq)
 		out = append(out, ZPoint{
 			Interval: k,
@@ -307,7 +352,7 @@ func Diagnose(s *sim.Session, interval, n int) (Diagnostics, error) {
 	if interval < 0 || n < 32 {
 		return Diagnostics{}, fmt.Errorf("core: Diagnose needs interval >= 0 and n >= 32 (got %d, %d)", interval, n)
 	}
-	seq, _ := collectSequence(context.Background(), s, interval, n, make([]float64, 0, n))
+	seq, _ := collectSequence(context.Background(), sessionSampler{s}, interval, n, make([]float64, 0, n))
 	battery := []randtest.Test{
 		randtest.OrdinaryRuns{}, randtest.UpDownRuns{}, randtest.VonNeumann{}, randtest.LjungBox{},
 	}

@@ -15,9 +15,10 @@ import (
 // range of replication indices driven by a single lane-parallel session
 // (at most sim.MaxLanes lanes interpreted, sim.CompiledMaxLanes
 // compiled). Under the general-delay engine each shard additionally
-// owns a private scalar power engine for the sampled cycles; under the
-// word-parallel zero-delay engines sampled cycles stay packed and
-// engine is nil.
+// owns a private event-driven engine for the sampled cycles (the
+// compiled session observes with it word-level, the packed one lane by
+// lane); under the word-parallel zero-delay engines sampled cycles stay
+// packed and engine is nil.
 type shard struct {
 	ps     sim.LaneSession
 	engine sim.PowerEngine
@@ -69,16 +70,17 @@ func newShards(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options,
 }
 
 // sampledEngine names the engine that observes a run's sampled cycles
-// and reports whether they stay on the lane session (packed). Under
-// zero-delay mode they do, unless a control variate needs the scalar
-// covariate; a general-delay run whose delay table is all-zero takes
-// the same upgrade, since its transition sets are identical (see
-// delay.Table.AllZero; power sums may differ from per-lane event-driven
-// simulation in the last ulp because the summation order changes). A
-// compiled session reports the compiled zero-delay engine. Otherwise
-// each shard hands its lanes to a scalar event-driven simulator under
-// the testbench's delay model. newShards and SamplingPhase both decide
-// here, so the reported engine is always the one that ran.
+// and reports whether they are observed as zero-delay toggle diffs on
+// the lane session (packed). Under zero-delay mode they are, unless a
+// control variate needs the general-delay sample beside its covariate;
+// a general-delay run whose delay table is all-zero takes the same
+// upgrade, since its powers are bit-identical (see delay.Table.AllZero).
+// A compiled session reports the compiled zero-delay engine. Otherwise
+// each shard observes its lanes with the event-driven simulator under
+// the testbench's delay model — word-level on the compiled backend, one
+// scalar simulation per lane on the packed one. newShards and
+// SamplingPhase both decide here, so the reported engine is always the
+// one that ran.
 func sampledEngine(tb *Testbench, opts Options, plan vr.Plan) (engine, delayModel string, packed bool) {
 	if (!opts.Mode.IsZeroDelay() && !tb.Delays.AllZero()) || plan.NeedsCovariate() {
 		return sim.EngineEventDriven, tb.Delays.ModelName, false
@@ -99,8 +101,9 @@ func sampledEngine(tb *Testbench, opts Options, plan vr.Plan) (engine, delayMode
 // pool. Each worker drives a lane-parallel session (opts.Backend: up to
 // 512 replications per compiled session, 64 per packed one) through the
 // hidden cycles of the independence interval and, under general-delay
-// mode, hands each lane to a scalar event-driven simulator on sampled
-// cycles. Samples are merged into the stopping criterion
+// mode, observes sampled cycles with the event-driven simulator — on
+// the compiled backend word-level, 64 lanes per machine word, each lane
+// bit-identical to the scalar simulator. Samples are merged into the stopping criterion
 // deterministically (round-major, in replication order), so the result
 // is reproducible and independent of opts.Workers and of goroutine
 // scheduling.

@@ -45,9 +45,9 @@ type CalCost struct {
 // the phase-1 (sample, covariate) pairs — or, for fixed-interval runs,
 // a dedicated SeqLen-pair calibration sequence on the one-lane phase-1
 // sampler seeded baseSeed, the seed selection would have used — and the
-// covariate mean from a packed zero-delay pre-run over dedicated lane
-// seeds. Everything is seeded deterministically, so two resolutions
-// with the same inputs produce bit-identical plans.
+// covariate mean from a zero-delay pre-run over dedicated lane seeds
+// on the run's backend. Everything is seeded deterministically, so two
+// resolutions with the same inputs produce bit-identical plans.
 func ResolvePlan(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, interval int, sel *IntervalSelection) (vr.Plan, []float64, CalCost, error) {
 	var seed []float64
 	if sel != nil {
@@ -120,10 +120,11 @@ func ResolvePlan(ctx context.Context, tb *Testbench, src vectors.Factory, baseSe
 }
 
 // controlMean estimates the covariate mean — the stationary per-cycle
-// zero-delay toggle power — with a packed 64-lane zero-delay pre-run
-// over dedicated seeds. The run costs hidden-cycle rates (one packed
-// sweep plus a diff pass per cycle) and is tallied entirely as hidden
-// cycles.
+// zero-delay toggle power — with a 64-lane zero-delay pre-run over
+// dedicated seeds on a lane session of the run's backend (every backend
+// computes bit-identical toggle powers). The run costs hidden-cycle
+// rates (one settle plus a diff pass per cycle) and is tallied entirely
+// as hidden cycles.
 func controlMean(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options) (float64, CalCost) {
 	cycles := opts.Variance.ControlCycles
 	if cycles == 0 {
@@ -133,18 +134,19 @@ func controlMean(tb *Testbench, src vectors.Factory, baseSeed int64, opts Option
 	for k := range srcs {
 		srcs[k] = src(baseSeed + controlSeedOffset + int64(k))
 	}
-	ps := sim.NewPackedSession(tb.Circuit, srcs)
-	ps.StepHiddenN(opts.WarmupCycles)
+	ls := sim.NewLaneSessionConfig(opts.Backend, tb.Circuit, srcs, sim.SessionConfig{CacheBudget: opts.CacheBudget})
+	ls.StepHiddenN(opts.WarmupCycles)
 	weights := tb.Weights()
 	powers := make([]float64, sim.MaxLanes)
 	var sum float64
 	for i := 0; i < cycles; i++ {
-		ps.StepSampled(weights, powers)
+		ls.StepSampled(weights, powers)
 		for _, p := range powers {
 			sum += p
 		}
 	}
-	return sum / float64(cycles*sim.MaxLanes), CalCost{Hidden: ps.HiddenCycles + ps.SampledCycles}
+	hidden, sampled := ls.CycleCounts()
+	return sum / float64(cycles*sim.MaxLanes), CalCost{Hidden: hidden + sampled}
 }
 
 // replicationSource builds replication r's input source under a plan:

@@ -101,13 +101,12 @@ func BuildTable(c *netlist.Circuit, m Model) *Table {
 }
 
 // AllZero reports whether every node delay in the table is zero. Under
-// an all-zero table the event-driven simulator commits at most one
-// transition per node per cycle (same-time events are processed in
-// level order with inertial cancellation), so it counts exactly the
-// functional toggles that zero-delay observation counts; the estimator
-// uses this to substitute the bit-parallel zero-delay power engine for
-// per-lane event-driven simulation. The set of counted transitions is
-// identical; only the floating-point summation order differs.
+// an all-zero table the event-driven simulator evaluates each gate once,
+// in level order, and commits at most one transition per node per
+// cycle, so it counts exactly the functional toggles that zero-delay
+// observation counts — and, summing in node-index order, returns the
+// same power bits. The estimator uses this to substitute the
+// word-parallel zero-delay power engine for general-delay observation.
 func (t *Table) AllZero() bool {
 	for _, d := range t.Delays {
 		if d != 0 {

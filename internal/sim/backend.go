@@ -88,11 +88,16 @@ type LaneSession interface {
 	// zero-delay toggle power into powers[:Lanes()].
 	StepSampled(weights, powers []float64)
 	// StepSampledWith advances one cycle, observing each lane with the
-	// scalar power engine (general-delay accounting).
+	// power engine (general-delay accounting): lane k's power is what
+	// engine.CyclePower returns for it.
 	StepSampledWith(engine PowerEngine, weights, powers []float64)
-	// StepSampledBoth observes each lane with the scalar engine while
+	// StepSampledBoth observes each lane with the power engine while
 	// also computing the zero-delay toggle covariate at word level.
 	StepSampledBoth(engine PowerEngine, weights []float64, powers, toggles []float64)
+	// StepSampledRecord advances one sampled cycle, recording every
+	// lane's cycle on stack for word-level observation later, and
+	// writes the zero-delay toggle powers into toggles unless it is nil.
+	StepSampledRecord(stack *CycleStack, weights, toggles []float64)
 	// AccumulateToggles installs dst (len NumNodes, nil to disable) as a
 	// per-node transition-count accumulator over all active lanes of
 	// every sampled cycle. Counts are integers merged by addition, so

@@ -30,8 +30,10 @@ const CompiledMaxLanes = 8 * 64
 //   - Sampled cycles execute the observation-exact Full program: one
 //     register row per node, so the weighted toggle diff — accumulated
 //     in node-index order per lane, exactly like PackedSession — and
-//     per-lane scalar-engine observation see precisely the interpreted
-//     values.
+//     general-delay observation see precisely the interpreted values.
+//     The event-driven engine observes straight off the rows, 64 lanes
+//     per machine word (waveEngine), each lane bit-identical to the
+//     scalar simulator.
 //
 // Lanes are packed row-major: lane k lives in bit k%64 of word k/64 of
 // every row, and all rows are w = ceil(lanes/64) words wide.
@@ -64,7 +66,10 @@ type CompiledSession struct {
 	laneBuf []bool   // one lane's pattern, as drawn from its source
 	accBuf  []uint64 // word-local input accumulators (one per input)
 
-	// scratch for per-lane engine observation: one lane, scalar form.
+	// wave observes general-delay sampled cycles 64 lanes per word
+	// (built at the first one); svals/spins/sq are one lane in scalar
+	// form, for any other power engine.
+	wave  *waveEngine
 	svals []bool
 	spins []bool
 	sq    []bool
@@ -311,7 +316,8 @@ func (s *CompiledSession) ResetCounters() {
 // the per-node transition-count accumulator, with the same semantics as
 // PackedSession.AccumulateToggles: zero-delay sampled steps count from
 // the Full-file row diff (one popcount per node word, summed across the
-// row's words), engine-observed steps count from the scalar engine.
+// row's words), engine-observed steps count from the engine's
+// transitions (popcounts of the word-level engine's toggle words).
 // Counts are integers, so they are bit-identical to the packed backend's
 // regardless of lane width or word layout.
 func (s *CompiledSession) AccumulateToggles(dst []uint64) {
@@ -455,11 +461,20 @@ func (s *CompiledSession) StepSampled(weights []float64, powers []float64) {
 	s.SampledCycles += uint64(s.lanes)
 }
 
-// observeLanes hands every lane of the advanced-but-unapplied state
+// observeLanes observes every lane of the advanced-but-unapplied state
 // (settled values in full, new pins in buf, new latch state in nextQ)
-// to the scalar power engine — the compiled counterpart of
-// PackedSession.observeLanes.
+// with the power engine. The event-driven engine runs word-level,
+// straight off the rows (waveEngine: each lane bit-identical to
+// EventDriven.Cycle); any other engine gets each lane unpacked into
+// scalar form — the compiled counterpart of PackedSession.observeLanes.
 func (s *CompiledSession) observeLanes(engine PowerEngine, weights, powers []float64) {
+	if ed, ok := engine.(*EventDriven); ok {
+		if s.wave == nil {
+			s.wave = newWaveEngine(s.c)
+		}
+		s.wave.observe(ed, s.full, s.buf, s.nextQ, s.w, s.lanes, weights, powers, s.counts)
+		return
+	}
 	for k := 0; k < s.lanes; k++ {
 		s.extractRows(k, s.svals, s.full)
 		s.extractRows(k, s.spins, s.buf)
@@ -482,7 +497,8 @@ func (s *CompiledSession) observeLanes(engine PowerEngine, weights, powers []flo
 // row's words. Integer sums are order-independent, so the accumulated
 // counts match PackedSession.toggleDiff bit for bit at any lane width.
 // StepSampledBoth passes nil here because its counts come from the
-// scalar engine, which would otherwise double-count the cycle.
+// general-delay observation, which would otherwise double-count the
+// cycle.
 func (s *CompiledSession) toggleDiff(weights, powers []float64, counts []uint64) {
 	for k := 0; k < s.lanes; k++ {
 		powers[k] = 0
@@ -527,8 +543,9 @@ func (s *CompiledSession) toggleDiff(weights, powers []float64, counts []uint64)
 }
 
 // StepSampledWith advances every lane one clock cycle, observing each
-// lane with the scalar power engine — the general-delay path. Per-lane
-// results are bit-identical to PackedSession.StepSampledWith.
+// lane with the power engine — the general-delay path, word-level for
+// the event-driven engine. Per-lane results are bit-identical to
+// PackedSession.StepSampledWith.
 func (s *CompiledSession) StepSampledWith(engine PowerEngine, weights []float64, powers []float64) {
 	if len(powers) < s.lanes {
 		panic(fmt.Sprintf("sim: compiled StepSampledWith powers length %d, want >= %d", len(powers), s.lanes))
@@ -543,9 +560,9 @@ func (s *CompiledSession) StepSampledWith(engine PowerEngine, weights []float64,
 }
 
 // StepSampledBoth advances every lane one clock cycle, observing each
-// lane with the scalar engine while also computing the zero-delay
-// toggle covariate from the row diff — both per-lane bit-identical to
-// PackedSession.StepSampledBoth.
+// lane with the power engine (as StepSampledWith) while also computing
+// the zero-delay toggle covariate from the row diff — both per-lane
+// bit-identical to PackedSession.StepSampledBoth.
 func (s *CompiledSession) StepSampledBoth(engine PowerEngine, weights []float64, powers, toggles []float64) {
 	if len(powers) < s.lanes || len(toggles) < s.lanes {
 		panic(fmt.Sprintf("sim: compiled StepSampledBoth powers/toggles lengths %d/%d, want >= %d",
@@ -562,6 +579,29 @@ func (s *CompiledSession) StepSampledBoth(engine PowerEngine, weights []float64,
 	s.full, s.oldFull = s.oldFull, s.full
 	s.settleFull()
 	s.toggleDiff(weights, toggles, nil)
+	s.SampledCycles += uint64(s.lanes)
+}
+
+// StepSampledRecord advances every lane one clock cycle as a sampled
+// cycle and records each lane's cycle — its settled values before the
+// step, its new input pattern and latch state — as the next Lanes()
+// cycles of stack, for word-level observation later
+// (CycleStack.Observe). toggles, when non-nil, receives each lane's
+// zero-delay toggle power exactly as StepSampled computes it; transition
+// counts are left to the observation.
+func (s *CompiledSession) StepSampledRecord(stack *CycleStack, weights, toggles []float64) {
+	s.refreshFull()
+	s.advanceFull()
+	stack.record(s.full, s.buf, s.nextQ, s.w, s.lanes)
+	s.q, s.nextQ = s.nextQ, s.q
+	s.pins, s.buf = s.buf, s.pins
+	if toggles != nil {
+		s.full, s.oldFull = s.oldFull, s.full
+	}
+	s.settleFull()
+	if toggles != nil {
+		s.toggleDiff(weights, toggles, nil)
+	}
 	s.SampledCycles += uint64(s.lanes)
 }
 

@@ -44,8 +44,13 @@ func newPackedTiles(c *netlist.Circuit, lanes int, base int64) []packedTile {
 // tiles through `cycles` mixed steps (hidden runs and all three sampled
 // flavours, chosen by a seeded rng) and reports any per-lane
 // divergence: settled node values, input pattern, latch state,
-// zero-delay toggle powers, scalar-engine powers and the
-// control-variate covariate must all be bit-identical.
+// zero-delay toggle powers, general-delay powers, the control-variate
+// covariate and the accumulated per-node counts must all be
+// bit-identical. The packed tiles observe general-delay cycles one lane
+// at a time with the scalar EventDriven, the compiled session with the
+// word-level engine, so this is also the word engine's differential
+// test against its scalar reference; the word engine's own settled rows
+// are checked against the session's after every general-delay step.
 func diffCompiledPacked(t *testing.T, c *netlist.Circuit, lanes, cycles int, base, rngSeed int64) {
 	t.Helper()
 	diffCompiledPackedConfig(t, c, lanes, cycles, base, rngSeed, CompiledConfig{})
@@ -57,15 +62,29 @@ func diffCompiledPacked(t *testing.T, c *netlist.Circuit, lanes, cycles int, bas
 // compiled engine.
 func diffCompiledPackedConfig(t *testing.T, c *netlist.Circuit, lanes, cycles int, base, rngSeed int64, cfg CompiledConfig) {
 	t.Helper()
+	diffCompiledPackedDelays(t, c, delay.BuildTable(c, delay.DefaultFanoutLoaded()), lanes, cycles, base, rngSeed, cfg)
+}
+
+// diffCompiledPackedDelays is diffCompiledPackedConfig under an explicit
+// delay table for the general-delay steps.
+func diffCompiledPackedDelays(t *testing.T, c *netlist.Circuit, dt *delay.Table, lanes, cycles int, base, rngSeed int64, cfg CompiledConfig) {
+	t.Helper()
 	cs := NewCompiledSessionConfig(c, laneSources(len(c.Inputs), lanes, base), cfg)
 	tiles := newPackedTiles(c, lanes, base)
 	weights := make([]float64, c.NumNodes())
 	for i := range weights {
 		weights[i] = 1 + float64(i%7)/3
 	}
-	dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
 	csEngine := NewEventDriven(c, dt)
 	tileEngine := NewEventDriven(c, dt)
+	cs.wave = newWaveEngine(c)
+	cs.wave.settled = make([]uint64, c.NumNodes()*cs.w)
+	cCounts := make([]uint64, c.NumNodes())
+	pCounts := make([]uint64, c.NumNodes())
+	cs.AccumulateToggles(cCounts)
+	for _, tl := range tiles {
+		tl.ps.AccumulateToggles(pCounts)
+	}
 
 	// The packed tiles write into their own slice of the lane-indexed
 	// buffers, so comparisons address both sessions by global lane.
@@ -80,7 +99,12 @@ func diffCompiledPackedConfig(t *testing.T, c *netlist.Circuit, lanes, cycles in
 	cQ := make([]bool, len(c.Latches))
 	pQ := make([]bool, len(c.Latches))
 
-	compareLanes := func(cycle int, sampled bool) {
+	compareLanes := func(cycle int, sampled, waved bool) {
+		for i := range cCounts {
+			if cCounts[i] != pCounts[i] {
+				t.Fatalf("cycle %d: node %s count %d, packed %d", cycle, c.Nodes[i].Name, cCounts[i], pCounts[i])
+			}
+		}
 		for _, tl := range tiles {
 			for k := 0; k < tl.ps.Lanes(); k++ {
 				lane := tl.lo + k
@@ -104,9 +128,13 @@ func diffCompiledPackedConfig(t *testing.T, c *netlist.Circuit, lanes, cycles in
 						t.Fatalf("cycle %d lane %d: input %d mismatch", cycle, lane, i)
 					}
 				}
+				word, bit := lane>>6, uint64(1)<<uint(lane&63)
 				for i := range cVals {
 					if cVals[i] != pVals[i] {
 						t.Fatalf("cycle %d lane %d: node %s mismatch", cycle, lane, c.Nodes[i].Name)
+					}
+					if waved && (cs.wave.settled[i*cs.w+word]&bit != 0) != cVals[i] {
+						t.Fatalf("cycle %d lane %d: word engine settled node %s to %v", cycle, lane, c.Nodes[i].Name, !cVals[i])
 					}
 				}
 			}
@@ -115,7 +143,7 @@ func diffCompiledPackedConfig(t *testing.T, c *netlist.Circuit, lanes, cycles in
 
 	rng := rand.New(rand.NewSource(rngSeed))
 	for cycle := 0; cycle < cycles; cycle++ {
-		sampled := true
+		sampled, waved := true, false
 		switch rng.Intn(5) {
 		case 0, 1:
 			sampled = false
@@ -134,7 +162,9 @@ func diffCompiledPackedConfig(t *testing.T, c *netlist.Circuit, lanes, cycles in
 			}
 			copy(pTog, pPow)
 		case 3:
-			// General-delay per-lane engine sampling (StepSampledWith).
+			// General-delay sampling (StepSampledWith): word-level on the
+			// compiled session, one scalar engine per lane on the tiles.
+			waved = true
 			cs.StepSampledWith(csEngine, weights, cPow)
 			copy(cTog, cPow)
 			for _, tl := range tiles {
@@ -143,13 +173,14 @@ func diffCompiledPackedConfig(t *testing.T, c *netlist.Circuit, lanes, cycles in
 			copy(pTog, pPow)
 		default:
 			// Engine power plus toggle covariate (StepSampledBoth).
+			waved = true
 			cs.StepSampledBoth(csEngine, weights, cPow, cTog)
 			for _, tl := range tiles {
 				lo, hi := tl.lo, tl.lo+tl.ps.Lanes()
 				tl.ps.StepSampledBoth(tileEngine, weights, pPow[lo:hi], pTog[lo:hi])
 			}
 		}
-		compareLanes(cycle, sampled)
+		compareLanes(cycle, sampled, waved)
 	}
 	ch, csamp := cs.CycleCounts()
 	var ph, psamp uint64
@@ -272,13 +303,87 @@ func bench89SeedBase(name string) int64 {
 	return h&0xffff + 3
 }
 
-// TestCompiledMultiWordLanes checks the widened packing: 65, 256 and
-// 512 lanes exercise 2- and 8-word rows, including a partial final
-// word, against 64-lane packed tiles.
+// TestCompiledMultiWordLanes checks the widened packing: 65, 256, 320
+// and 512 lanes exercise 2- to 8-word rows, including a partial final
+// word, against 64-lane packed tiles — under every delay table the
+// word-level general-delay engine must reproduce the scalar one for:
+// zero, unit, fanout-loaded, mixed zero/non-zero and a wide time span.
 func TestCompiledMultiWordLanes(t *testing.T) {
-	c := bench89.MustGet("s298")
-	for _, lanes := range []int{1, 63, 65, 256, CompiledMaxLanes} {
-		diffCompiledPacked(t, c, lanes, 10, int64(900+lanes), int64(lanes))
+	for _, circuit := range []string{"s298", "s1494"} {
+		c := bench89.MustGet(circuit)
+		for _, model := range []string{"zero", "unit", "fanout", "mixed-zero", "wide-span"} {
+			dt := goldenTable(c, model)
+			for _, lanes := range []int{1, 63, 64, 65, 256, 320, CompiledMaxLanes} {
+				t.Run(fmt.Sprintf("%s/%s/%d", circuit, model, lanes), func(t *testing.T) {
+					diffCompiledPackedDelays(t, c, dt, lanes, 10, int64(900+lanes), int64(lanes), CompiledConfig{})
+				})
+			}
+		}
+	}
+}
+
+// TestCycleStackMatchesScalar records one replication's sampled cycles
+// with StepSampledRecord on one-lane sessions of both backends and
+// checks the stacked word-level observation against a scalar session in
+// lock-step, cycle by cycle — power bits, per-node counts, the recorded
+// covariate and the trajectory — across stack fills of 1 to 512 cycles
+// on one reused stack.
+func TestCycleStackMatchesScalar(t *testing.T) {
+	c := bench89.MustGet("s1494")
+	weights := make([]float64, c.NumNodes())
+	rng := rand.New(rand.NewSource(5))
+	for i := range weights {
+		weights[i] = rng.Float64()
+	}
+	for _, model := range []string{"unit", "fanout", "mixed-zero"} {
+		dt := goldenTable(c, model)
+		for _, b := range Backends() {
+			ref := NewSession(c, dt, laneSources(len(c.Inputs), 1, 77)[0], weights)
+			ls := NewLaneSession(b, c, laneSources(len(c.Inputs), 1, 77))
+			stack := NewCycleStack(c, CompiledMaxLanes)
+			ed := NewEventDriven(c, dt)
+			powers := make([]float64, CompiledMaxLanes)
+			vals := make([]bool, c.NumNodes())
+			var tog [1]float64
+			for _, n := range []int{1, 63, 64, 65, 320, CompiledMaxLanes, 2} {
+				want := make([]float64, n)
+				wantCounts := make([]uint64, c.NumNodes())
+				for k := 0; k < n; k++ {
+					var x, cv float64
+					if k%2 == 0 {
+						x, cv = ref.StepSampledPair(wantCounts)
+						ls.StepSampledRecord(stack, weights, tog[:])
+						if tog[0] != cv {
+							t.Fatalf("%s/%s/%d: cycle %d covariate %v, scalar %v", model, b, n, k, tog[0], cv)
+						}
+					} else {
+						x = ref.StepSampled(wantCounts)
+						ls.StepSampledRecord(stack, weights, nil)
+					}
+					want[k] = x
+					ref.StepHiddenN(k % 3)
+					ls.StepHiddenN(k % 3)
+				}
+				counts := make([]uint64, c.NumNodes())
+				stack.Observe(ed, weights, powers, counts)
+				for k := 0; k < n; k++ {
+					if powers[k] != want[k] {
+						t.Fatalf("%s/%s/%d: cycle %d power %v, scalar %v", model, b, n, k, powers[k], want[k])
+					}
+				}
+				for i := range counts {
+					if counts[i] != wantCounts[i] {
+						t.Fatalf("%s/%s/%d: node %s counted %d, scalar %d", model, b, n, c.Nodes[i].Name, counts[i], wantCounts[i])
+					}
+				}
+				ls.ExtractLane(0, vals, nil, nil)
+				for i, v := range ref.Values() {
+					if vals[i] != v {
+						t.Fatalf("%s/%s/%d: trajectory diverged at node %s", model, b, n, c.Nodes[i].Name)
+					}
+				}
+			}
+		}
 	}
 }
 

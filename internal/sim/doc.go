@@ -9,12 +9,27 @@
 //     used on sampled cycles to observe every transition (including
 //     glitches) for the power computation of Eq. 1.
 //
-// The event-driven simulator commits events in (time, logic level,
-// scheduling order): the level tiebreak makes same-time changes behave
-// like a levelized sweep, and the full order fixes the float summation
-// order of a cycle's power. Its event queue is a timing wheel whose slot
-// width is the gcd of the delay table's nonzero delays (20 ps under the
-// default fanout-loaded model, so one time per slot), widened when
+// The event-driven simulator is canonical: each gate is evaluated once
+// per instant, after all of that instant's fanin commits (a repeated
+// evaluation at the same instant replaces the earlier one), so a
+// zero-width intermediate fanin value never cancels or reschedules a
+// pending change; and a cycle's power is summed after the cycle in
+// node-index order, w_i once per transition. Its result therefore
+// depends only on the circuit, the delays and the (old, new) source
+// values — which is what lets CompiledSession.StepSampledWith observe
+// general-delay cycles word-level, 64 lanes per machine word, with every
+// lane's power bits, counts and settled values equal to the scalar
+// simulator's: a waveform engine propagates each node's change points
+// in levelized order, evaluates a gate at its fanins' merged change
+// times and commits each change in the lanes where the gate's function
+// does not change again within one gate delay (inertial filtering as a
+// sliding OR of change masks). sim.CycleStack applies the same engine to
+// one replication's sampled cycles recorded as stacked lanes.
+//
+// The scalar simulator commits events in (time, logic level, scheduling
+// order). Its event queue is a timing wheel whose slot width is the gcd
+// of the delay table's nonzero delays (20 ps under the default
+// fanout-loaded model, so one time per slot), widened when
 // maxDelay/width would exceed a fixed bound, with the smallest power of
 // two of slots above maxDelay/width + 1. Each time is drained through
 // per-level FIFO lists (a bucket queue over logic levels); a zero-delay
@@ -38,8 +53,9 @@
 // is bit-identical, float summation order included, to a scalar
 // ZeroDelayToggle session over the same source; the property tests
 // assert this for every lane. PackedSession.StepSampledWith keeps the
-// general-delay path: each lane is extracted into a scalar engine for
-// exact glitch accounting.
+// general-delay path on the scalar reference: each lane is extracted
+// into the scalar engine, which makes the packed backend the oracle of
+// the compiled backend's word-level engine in the differential battery.
 //
 // The scalar simulators operate on the same dense value array, so a
 // session can interleave them cycle by cycle; the packed simulator keeps

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -76,12 +77,12 @@ func TestPropertyPackedZeroDelaySampledMatchesScalarToggle(t *testing.T) {
 	}
 }
 
-// TestPropertyZeroDelayToggleMatchesEventDrivenZeroTable: the toggle
-// engine counts exactly the transitions an event-driven simulation
-// under an all-zero delay table counts. With integer-valued weights the
-// sums are exact regardless of summation order, so equality is exact.
-// This is the equivalence delay.Table.AllZero's engine upgrade relies
-// on.
+// TestPropertyZeroDelayToggleMatchesEventDrivenZeroTable: under an
+// all-zero delay table the event-driven simulation counts exactly the
+// transitions the toggle engine counts — one per changed node — and,
+// summing a cycle's power in node-index order, returns the same power
+// bits with real-valued weights. This is the equivalence
+// delay.Table.AllZero's engine upgrade relies on.
 func TestPropertyZeroDelayToggleMatchesEventDrivenZeroTable(t *testing.T) {
 	check := func(seed uint32) bool {
 		sig := randomSignature(seed)
@@ -89,9 +90,10 @@ func TestPropertyZeroDelayToggleMatchesEventDrivenZeroTable(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		rng := rand.New(rand.NewSource(int64(seed) + 3))
 		w := make([]float64, c.NumNodes())
 		for i := range w {
-			w[i] = float64(1 + i%9)
+			w[i] = rng.Float64() * 1e-6
 		}
 		zt := delay.BuildTable(c, delay.Zero{})
 		if !zt.AllZero() {
@@ -102,12 +104,21 @@ func TestPropertyZeroDelayToggleMatchesEventDrivenZeroTable(t *testing.T) {
 			vectors.NewIID(len(c.Inputs), 0.5, int64(seed)+5), w)
 		b := NewSession(c, zt,
 			vectors.NewIID(len(c.Inputs), 0.5, int64(seed)+5), w)
+		ca := make([]uint64, c.NumNodes())
+		cb := make([]uint64, c.NumNodes())
 		for cycle := 0; cycle < 40; cycle++ {
-			pa := a.StepSampled(nil)
-			pb := b.StepSampled(nil)
-			if pa != pb {
+			pa := a.StepSampled(ca)
+			pb := b.StepSampled(cb)
+			if math.Float64bits(pa) != math.Float64bits(pb) {
 				t.Logf("seed %d cycle %d: toggle %g, event-driven(zero) %g", seed, cycle, pa, pb)
 				return false
+			}
+			for i := range ca {
+				if ca[i] != cb[i] {
+					t.Logf("seed %d cycle %d: node %s counted %d, event-driven(zero) %d",
+						seed, cycle, c.Nodes[i].Name, ca[i], cb[i])
+					return false
+				}
 			}
 			ra, rb := a.Values(), b.Values()
 			for i := range ra {

@@ -17,13 +17,18 @@ import (
 // level-parallel configuration, so segmentation and spill analysis are
 // fuzzed on the same degenerate shapes: 0 = plain, 1 = one instruction
 // per segment, 2 = blocking disabled, 3 = two workers, otherwise a tiny
-// byte-scaled cache budget.
+// byte-scaled cache budget. It also picks the delay table (zero, unit,
+// fanout-loaded, mixed zero/non-zero, wide span) of a mixed trajectory
+// through the differential battery, which checks the word-level
+// general-delay engine against the scalar one lane by lane: powers,
+// counts and settled rows.
 func FuzzCompile(f *testing.F) {
 	f.Add("INPUT(a)\nOUTPUT(z)\nz = AND(a, a)\n", byte(0))
 	f.Add("INPUT(a)\nOUTPUT(z)\nq = DFF(d)\nd = NOT(q)\nz = OR(a, q)\n", byte(1))
 	f.Add("INPUT(a)\nOUTPUT(z)\nc0 = CONST0()\nb = BUF(c0)\nq = DFF(b)\nz = XOR(a, q)\n", byte(2))
 	f.Add("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nq1 = DFF(q2)\nq2 = DFF(q1)\nz = NAND(a, XNORg)\nXNORg = XNOR(b, q1)\n", byte(3))
 	f.Add("INPUT(a)\nOUTPUT(z)\nc1 = CONST1()\nz = XOR(a, c1)\nq = DFF(z)\n", byte(64))
+	f.Add("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nq = DFF(z)\nn = NOT(a)\nx = AND(a, n)\ny = OR(x, b, q)\nz = XOR(y, n)\n", byte(7))
 	f.Fuzz(func(t *testing.T, text string, budget byte) {
 		c, err := netlist.ParseBenchString("fuzz", text)
 		if err != nil {
@@ -82,5 +87,7 @@ func FuzzCompile(f *testing.F) {
 				}
 			}
 		}
+		models := []string{"zero", "unit", "fanout", "mixed-zero", "wide-span"}
+		diffCompiledPackedDelays(t, c, goldenTable(c, models[int(budget)%len(models)]), lanes, 12, 100, int64(budget), cfg)
 	})
 }

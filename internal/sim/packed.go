@@ -253,6 +253,24 @@ func (s *PackedSession) StepSampled(weights []float64, powers []float64) {
 	s.SampledCycles += uint64(s.lanes)
 }
 
+// StepSampledRecord advances every lane one clock cycle as a sampled
+// cycle and records each lane's cycle on stack, with the same semantics
+// as CompiledSession.StepSampledRecord.
+func (s *PackedSession) StepSampledRecord(stack *CycleStack, weights, toggles []float64) {
+	s.advance()
+	stack.record(s.vals, s.buf, s.nextQ, 1, s.lanes)
+	s.q, s.nextQ = s.nextQ, s.q
+	s.pins, s.buf = s.buf, s.pins
+	if toggles != nil {
+		s.vals, s.oldVals = s.oldVals, s.vals
+	}
+	s.pz.Settle(s.vals, s.pins, s.q)
+	if toggles != nil {
+		s.toggleDiff(weights, toggles, nil)
+	}
+	s.SampledCycles += uint64(s.lanes)
+}
+
 // observeLanes hands every lane of the advanced-but-unapplied state
 // (after advance: current settled values in vals, new pins in buf, new
 // latch state in nextQ) to the scalar power engine. It is the one
