@@ -48,46 +48,38 @@ type IntervalSelection struct {
 	Toggles []uint64
 }
 
-// sampler is the single-replication surface of phase 1 and of the
-// sequence collectors built on it: hidden cycles, and the collection of
-// a sequence of sampled cycles observed by the run's power engine,
-// optionally with each cycle's zero-delay toggle covariate. A scalar
-// *sim.Session is one (sessionSampler: the exported session-based entry
-// points); the parallel estimators drive one lane of a compiled or
-// packed lane session (laneSampler). Both observe bit-identical samples.
+// sampler is the single-replication stepping surface of phase 1 and of
+// the sequence collectors built on it: hidden cycles, and sampled cycles
+// observed by the run's power engine, optionally with their zero-delay
+// toggle covariate. A scalar *sim.Session is one (sessionSampler: the
+// exported session-based entry points); the parallel estimators drive
+// one lane of a compiled or packed lane session (laneSampler). Both
+// observe bit-identical samples.
 type sampler interface {
 	Circuit() *netlist.Circuit
 	StepHiddenN(n int)
-	// collect appends n samples, separated by k hidden cycles each, to
-	// dst, and their covariates to cov when cov is non-nil; counts, when
-	// non-nil, accumulates the samples' per-node transition counts. It
-	// polls ctx every ctxCheckEvery samples and returns ctx.Err() when
-	// cancelled.
-	collect(ctx context.Context, k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64, error)
+	// sample steps one sampled cycle. It appends the cycle's covariate to
+	// cov when cov is non-nil, and its power to dst — now, or at a later
+	// sample or flush, in cycle order; counts, when non-nil, accumulates
+	// the appended samples' per-node transition counts.
+	sample(dst, cov []float64, counts []uint64) ([]float64, []float64)
+	// flush appends the powers sample has not appended yet.
+	flush(dst []float64, counts []uint64) []float64
 }
 
 // sessionSampler observes each sampled cycle of a scalar session as it
 // is stepped.
 type sessionSampler struct{ *sim.Session }
 
-func (s sessionSampler) collect(ctx context.Context, k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64, error) {
-	for i := 0; i < n; i++ {
-		if i%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return dst, cov, err
-			}
-		}
-		s.StepHiddenN(k)
-		if cov != nil {
-			x, c := s.StepSampledPair(counts)
-			dst = append(dst, x)
-			cov = append(cov, c)
-		} else {
-			dst = append(dst, s.StepSampled(counts))
-		}
+func (s sessionSampler) sample(dst, cov []float64, counts []uint64) ([]float64, []float64) {
+	if cov == nil {
+		return append(dst, s.StepSampled(counts)), nil
 	}
-	return dst, cov, nil
+	x, c := s.StepSampledPair(counts)
+	return append(dst, x), append(cov, c)
 }
+
+func (s sessionSampler) flush(dst []float64, _ []uint64) []float64 { return dst }
 
 // laneSampler is a one-lane LaneSession behind the sampler interface.
 // Hidden cycles run the backend's hidden step (the compiled Step
@@ -95,86 +87,77 @@ func (s sessionSampler) collect(ctx context.Context, k, n int, dst, cov []float6
 // backend's word-level zero-delay step, whose toggle power is both the
 // sample and the covariate. Under event-driven observation each sampled
 // cycle is recorded (StepSampledRecord, which also yields the covariate)
-// as one lane of a sim.CycleStack, and the sequence is observed in one
-// word-level pass once collected: the lane's trajectory does not depend
-// on its observation, so every sample, count and cycle tally equals the
-// scalar route's, with the engine Testbench.NewSessionMode would
-// install.
+// as one lane of a sim.CycleStack, and the recorded cycles are observed
+// in one word-level pass when the stack fills or the sequence is
+// flushed: the lane's trajectory does not depend on its observation, so
+// every sample, count and cycle tally equals the scalar route's, with
+// the engine Testbench.NewSessionMode would install.
 type laneSampler struct {
 	ls      sim.LaneSession
 	ed      *sim.EventDriven // nil under zero-delay observation
 	weights []float64
 	tog     [1]float64
-
-	stack  *sim.CycleStack // built at the first collection
-	powers []float64
+	stack   *sim.CycleStack // event-driven observation only
+	powers  []float64
 }
 
 // newLaneSampler builds the one-lane sampler over src. One lane is one
 // word per register row — too little work per logic level to split
-// across session workers, so only the cache budget is passed on.
+// across session workers, so only the cache budget is passed on. The
+// stack holds one selection trial (SeqLen cycles), up to the widest
+// compiled session.
 func newLaneSampler(tb *Testbench, src vectors.Source, opts Options) *laneSampler {
-	ed, _ := tb.Engine(opts.Mode).(*sim.EventDriven)
-	return &laneSampler{
+	s := &laneSampler{
 		ls: sim.NewLaneSessionConfig(opts.Backend, tb.Circuit, []vectors.Source{src},
 			sim.SessionConfig{CacheBudget: opts.CacheBudget}),
-		ed:      ed,
 		weights: tb.Weights(),
 	}
+	if ed, ok := tb.Engine(opts.Mode).(*sim.EventDriven); ok {
+		s.ed = ed
+		s.stack = sim.NewCycleStack(tb.Circuit, min(opts.SeqLen, sim.CompiledMaxLanes))
+		s.powers = make([]float64, s.stack.Cap())
+	}
+	return s
 }
 
 func (s *laneSampler) Circuit() *netlist.Circuit { return s.ls.Circuit() }
 
 func (s *laneSampler) StepHiddenN(n int) { s.ls.StepHiddenN(n) }
 
-func (s *laneSampler) collect(ctx context.Context, k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64, error) {
-	var tog []float64 // the covariate, when wanted
-	if cov != nil {
-		tog = s.tog[:]
-	}
+func (s *laneSampler) sample(dst, cov []float64, counts []uint64) ([]float64, []float64) {
 	if s.ed == nil {
 		s.ls.AccumulateToggles(counts)
-	} else if s.stack == nil {
-		s.stack = sim.NewCycleStack(s.ls.Circuit(), min(n, sim.CompiledMaxLanes))
-		s.powers = make([]float64, s.stack.Cap())
-	}
-	for i := 0; i < n; i++ {
-		if i%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return dst, cov, err
-			}
-		}
-		s.ls.StepHiddenN(k)
-		if s.ed == nil {
-			s.ls.StepSampled(s.weights, s.tog[:])
-			dst = append(dst, s.tog[0])
-		} else {
-			s.ls.StepSampledRecord(s.stack, s.weights, tog)
-			if s.stack.Len() == s.stack.Cap() {
-				dst = s.observe(dst, counts)
-			}
-		}
+		s.ls.StepSampled(s.weights, s.tog[:])
+		dst = append(dst, s.tog[0])
+	} else {
+		var tog []float64
 		if cov != nil {
-			cov = append(cov, s.tog[0])
+			tog = s.tog[:]
+		}
+		s.ls.StepSampledRecord(s.stack, s.weights, tog)
+		if s.stack.Len() == s.stack.Cap() {
+			dst = s.flush(dst, counts)
 		}
 	}
-	if s.ed != nil {
-		dst = s.observe(dst, counts)
+	if cov != nil {
+		cov = append(cov, s.tog[0])
 	}
-	return dst, cov, nil
+	return dst, cov
 }
 
-// observe appends the recorded cycles' general-delay powers to dst.
-func (s *laneSampler) observe(dst []float64, counts []uint64) []float64 {
+func (s *laneSampler) flush(dst []float64, counts []uint64) []float64 {
+	if s.ed == nil {
+		return dst
+	}
 	n := s.stack.Len()
 	s.stack.Observe(s.ed, s.weights, s.powers, counts)
 	return append(dst, s.powers[:n]...)
 }
 
 // collectSequence gathers n power samples, separated by k hidden
-// (zero-delay) cycles each, into dst. It returns early with ctx.Err()
-// when cancelled, so one trial on a large circuit cannot pin a worker
-// past a cancellation request.
+// (zero-delay) cycles each, into dst. It polls ctx every ctxCheckEvery
+// samples and returns early with ctx.Err() when cancelled, so one trial
+// on a large circuit cannot pin a worker past a cancellation request.
 func collectSequence(ctx context.Context, s sampler, k, n int, dst []float64) ([]float64, error) {
 	dst, _, err := collectSequencePairs(ctx, s, k, n, dst, nil, nil)
 	return dst, err
@@ -188,11 +171,21 @@ func collectSequence(ctx context.Context, s sampler, k, n int, dst []float64) ([
 // counts, so after an accepted trial it holds exactly the accepted
 // sequence's toggles.
 func collectSequencePairs(ctx context.Context, s sampler, k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64, error) {
+	dst = dst[:0]
 	if cov != nil {
 		cov = cov[:0]
 	}
 	clear(counts)
-	return s.collect(ctx, k, n, dst[:0], cov, counts)
+	for i := 0; i < n; i++ {
+		if i%ctxCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return dst, cov, err
+			}
+		}
+		s.StepHiddenN(k)
+		dst, cov = s.sample(dst, cov, counts)
+	}
+	return s.flush(dst, counts), cov, nil
 }
 
 // ctxCheckEvery is the cancellation-poll cadence of sequence collection,

@@ -46,7 +46,7 @@ type CompiledSession struct {
 	masks []uint64 // per-word active-lane masks
 
 	full    []uint64 // Full register file: NumNodes rows (settled iff fresh)
-	oldFull []uint64 // previous settled rows, for zero-delay toggle diffs
+	oldFull []uint64 // previous settled rows, for zero-delay toggle diffs (nil before the first)
 	step    []uint64 // Step register file
 	fresh   bool     // full holds the settled values of the current (pins, q)
 
@@ -165,7 +165,6 @@ func NewCompiledSessionConfig(c *netlist.Circuit, srcs []vectors.Source, cfg Com
 		w:       w,
 		masks:   masks,
 		full:    make([]uint64, u.Full.Slots*w),
-		oldFull: make([]uint64, u.Full.Slots*w),
 		step:    make([]uint64, u.Step.Slots*w),
 		pins:    make([]uint64, len(c.Inputs)*w),
 		q:       make([]uint64, len(c.Latches)*w),
@@ -197,7 +196,6 @@ func NewCompiledSessionConfig(c *netlist.Circuit, srcs []vectors.Source, cfg Com
 	// both carry them. (Blocked segments load constant rows from the
 	// global file like any other upward-exposed read.)
 	u.Full.InitConsts(s.full, w)
-	u.Full.InitConsts(s.oldFull, w)
 	u.Step.InitConsts(s.step, w)
 	s.settleFull()
 	return s
@@ -350,6 +348,17 @@ func (s *CompiledSession) settleFull() {
 	s.fresh = true
 }
 
+// swapFull keeps the settled rows as oldFull, for a zero-delay toggle
+// diff against the rows about to be settled. The second file is built
+// at the first swap: a general-delay-only session never needs it.
+func (s *CompiledSession) swapFull() {
+	if s.oldFull == nil {
+		s.oldFull = make([]uint64, len(s.full))
+		s.unit.Full.InitConsts(s.oldFull, s.w)
+	}
+	s.full, s.oldFull = s.oldFull, s.full
+}
+
 // refreshFull re-settles the Full register file if hidden cycles left
 // it stale. Settling is a pure function of (pins, q), so the recomputed
 // rows are exactly what an interpreted session would hold here.
@@ -455,7 +464,7 @@ func (s *CompiledSession) StepSampled(weights []float64, powers []float64) {
 	s.advanceFull()
 	s.q, s.nextQ = s.nextQ, s.q
 	s.pins, s.buf = s.buf, s.pins
-	s.full, s.oldFull = s.oldFull, s.full
+	s.swapFull()
 	s.settleFull()
 	s.toggleDiff(weights, powers, s.counts)
 	s.SampledCycles += uint64(s.lanes)
@@ -576,7 +585,7 @@ func (s *CompiledSession) StepSampledBoth(engine PowerEngine, weights []float64,
 	s.observeLanes(engine, weights, powers)
 	s.q, s.nextQ = s.nextQ, s.q
 	s.pins, s.buf = s.buf, s.pins
-	s.full, s.oldFull = s.oldFull, s.full
+	s.swapFull()
 	s.settleFull()
 	s.toggleDiff(weights, toggles, nil)
 	s.SampledCycles += uint64(s.lanes)
@@ -596,7 +605,7 @@ func (s *CompiledSession) StepSampledRecord(stack *CycleStack, weights, toggles 
 	s.q, s.nextQ = s.nextQ, s.q
 	s.pins, s.buf = s.buf, s.pins
 	if toggles != nil {
-		s.full, s.oldFull = s.oldFull, s.full
+		s.swapFull()
 	}
 	s.settleFull()
 	if toggles != nil {

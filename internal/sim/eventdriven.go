@@ -58,9 +58,9 @@ import (
 // moves its earliest time's events onto per-level FIFO lists (a bucket
 // queue over logic levels) and processes them level by level; the
 // slot's later times (a widened slot) stay on it for the next pass. An
-// event scheduled for the time being drained — a zero-delay gate,
-// evaluated at its own level — joins its level's list before the level
-// commits.
+// event scheduled for the time being drained — by a zero-delay gate,
+// whose fanins commit at lower levels — joins the tail of its level's
+// list before that level commits.
 //
 // The fanout walk and gate evaluation run over the circuit's CSR view
 // (flat kind/level/fanin/fanout arrays).
@@ -85,14 +85,10 @@ type EventDriven struct {
 	level    []eventList
 	occupied []uint64
 
-	// pend[g] is gate g's pending change; an event is live iff its gate
-	// has an active pending change of the event's gen. gen numbers the
-	// scheduled events. instant numbers the drained times; evalAt[g] ==
-	// instant once gate g has been evaluated at the current time, and
-	// undo[g] then holds its pending change from before that time.
-	pend    []pending
-	undo    []pending
-	evalAt  []uint32
+	// gates[g] holds gate g's pending change; an event is live iff its
+	// gate has an active pending change of the event's gen. gen numbers
+	// the scheduled events, instant the drained times.
+	gates   []gateState
 	gen     uint32
 	instant uint32
 
@@ -118,6 +114,14 @@ type EventDriven struct {
 type pending struct {
 	gen         uint32
 	val, active bool
+}
+
+// gateState is a gate's pending change (cur) and, once the gate has been
+// evaluated at instant at, its pending change from before that instant
+// (undo).
+type gateState struct {
+	cur, undo pending
+	at        uint32
 }
 
 type event struct {
@@ -196,9 +200,7 @@ func (e *EventDriven) alloc() {
 	e.width = width
 	e.level = make([]eventList, levels)
 	e.occupied = make([]uint64, (levels+63)/64)
-	e.pend = make([]pending, n)
-	e.undo = make([]pending, n)
-	e.evalAt = make([]uint32, n)
+	e.gates = make([]gateState, n)
 	e.toggles = make([]uint32, n)
 	e.touched = make([]uint64, (n+63)/64)
 	e.resetQueue()
@@ -213,8 +215,7 @@ func (e *EventDriven) resetQueue() {
 	for i := range e.level {
 		e.level[i].head = -1
 	}
-	clear(e.pend)
-	clear(e.evalAt)
+	clear(e.gates)
 	e.instant = 1
 	clear(e.occupied)
 	clear(e.toggles)
@@ -239,7 +240,7 @@ func (e *EventDriven) Cycle(vals []bool, newPins, newQ []bool, weights []float64
 	e.LastSettleTime = 0
 	// The wheel is always drained by the previous Cycle; an aborted one
 	// (a panicking observer) must not leak stale work into this one.
-	if e.pend == nil {
+	if e.gates == nil {
 		e.alloc()
 	} else if e.queued != 0 || e.now != -1 {
 		e.resetQueue()
@@ -326,7 +327,9 @@ func (e *EventDriven) takeEarliest(slot *eventList) {
 // it yet.
 func (e *EventDriven) nextInstant() {
 	if e.instant++; e.instant == 0 {
-		clear(e.evalAt)
+		for i := range e.gates {
+			e.gates[i].at = 0
+		}
 		e.instant = 1
 	}
 }
@@ -364,7 +367,7 @@ func (e *EventDriven) drainLevels(vals []bool) {
 			for i := list.head; i >= 0; i = e.pool[i].next {
 				ev := e.pool[i]
 				id := ev.node
-				p := &e.pend[id]
+				p := &e.gates[id].cur
 				if !p.active || p.gen != ev.gen {
 					continue // cancelled or superseded
 				}
@@ -379,6 +382,14 @@ func (e *EventDriven) drainLevels(vals []bool) {
 
 // commit records node id's transition at time t (vals already holds the
 // new value) and evaluates its combinational fanout at t.
+//
+// An evaluation applies the inertial rule to the gate's pending change
+// as it stood before this instant: a pending change to the wrong value
+// is cancelled, and a new value is scheduled one gate delay later. A
+// repeated evaluation at the same instant replaces the earlier one: a
+// cancellation is undone, and an event it scheduled is kept only if it
+// still carries the right value (every evaluation at an instant
+// schedules for the same time), else left stale.
 func (e *EventDriven) commit(id int32, t delay.Picoseconds, vals []bool) {
 	r := e.csr
 	e.toggles[id]++
@@ -389,7 +400,28 @@ func (e *EventDriven) commit(id int32, t delay.Picoseconds, vals []bool) {
 	e.LastEvents++
 	e.LastSettleTime = t
 	for _, g := range r.GateFanoutList[r.GateFanoutIdx[id]:r.GateFanoutIdx[id+1]] {
-		e.evaluate(g, vals)
+		gs := &e.gates[g]
+		if gs.at != e.instant {
+			gs.at, gs.undo = e.instant, gs.cur
+		}
+		base := gs.undo
+		newv := evalCSR(vals, r.Kind[g], r.FaninList[r.FaninIdx[g]:r.FaninIdx[g+1]])
+		switch {
+		case base.active && base.val == newv:
+			gs.cur = base // the pending change already goes to the right value
+		case newv == vals[g]:
+			gs.cur.active = false // inertial cancellation, or nothing to do
+		case gs.cur.active && gs.cur.val == newv && gs.cur.gen != base.gen:
+			// Scheduled to the right value earlier in this instant.
+		default:
+			// Every scheduled event gets a fresh gen, so an event left
+			// stale by a cancellation or a replaced evaluation never
+			// turns live again.
+			e.gen++
+			gs.cur = pending{gen: e.gen, val: newv, active: true}
+			e.schedule(event{t: t + e.delays[g], level: r.Level[g],
+				node: netlist.NodeID(g), gen: e.gen})
+		}
 	}
 }
 
@@ -411,43 +443,6 @@ func (e *EventDriven) DelayModelName() string { return e.modelName }
 // simulation; estimation runs leave it unset.
 func (e *EventDriven) SetObserver(fn func(id netlist.NodeID, t delay.Picoseconds, v bool)) {
 	e.observer = fn
-}
-
-// evaluate evaluates gate g at time e.now against its fanins' current
-// values and applies the inertial rule to the gate's pending change as it
-// stood before this instant: a pending change to the wrong value is
-// cancelled, and a new value is scheduled one gate delay later. A
-// repeated evaluation at the same instant replaces the earlier one: a
-// cancellation is undone, and an event it scheduled is kept only if it
-// still carries the right value (every evaluation at an instant
-// schedules for the same time), else left stale.
-func (e *EventDriven) evaluate(g int32, vals []bool) {
-	r := e.csr
-	p := &e.pend[g]
-	base := *p
-	if e.evalAt[g] != e.instant {
-		e.evalAt[g] = e.instant
-		e.undo[g] = base
-	} else {
-		base = e.undo[g]
-	}
-	newv := evalCSR(vals, r.Kind[g], r.FaninList[r.FaninIdx[g]:r.FaninIdx[g+1]])
-	switch {
-	case base.active && base.val == newv:
-		*p = base // the pending change already goes to the right value
-	case newv == vals[g]:
-		p.active = false // inertial cancellation, or nothing to do
-	case p.active && p.val == newv && p.gen != base.gen:
-		// Scheduled to the right value earlier in this instant.
-	default:
-		// Every scheduled event gets a fresh gen, so an event left stale
-		// by a cancellation or a replaced evaluation never turns live
-		// again.
-		e.gen++
-		*p = pending{gen: e.gen, val: newv, active: true}
-		e.schedule(event{t: e.now + e.delays[g], level: r.Level[g],
-			node: netlist.NodeID(g), gen: e.gen})
-	}
 }
 
 // schedule queues ev behind every queued event of its time and level:
