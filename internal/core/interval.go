@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/delay"
 	"repro/internal/netlist"
 	"repro/internal/randtest"
 	"repro/internal/sim"
@@ -94,10 +95,10 @@ func (s sessionSampler) flush(dst []float64, _ []uint64) []float64 { return dst 
 // the engine Testbench.NewSessionMode would install.
 type laneSampler struct {
 	ls      sim.LaneSession
-	ed      *sim.EventDriven // nil under zero-delay observation
 	weights []float64
 	tog     [1]float64
-	stack   *sim.CycleStack // event-driven observation only
+	stack   *sim.CycleStack // nil under zero-delay observation
+	delays  *delay.Table    // the stack's observation delays
 	powers  []float64
 }
 
@@ -112,8 +113,8 @@ func newLaneSampler(tb *Testbench, src vectors.Source, opts Options) *laneSample
 			sim.SessionConfig{CacheBudget: opts.CacheBudget}),
 		weights: tb.Weights(),
 	}
-	if ed, ok := tb.Engine(opts.Mode).(*sim.EventDriven); ok {
-		s.ed = ed
+	if !opts.Mode.IsZeroDelay() {
+		s.delays = tb.Delays
 		s.stack = sim.NewCycleStack(tb.Circuit, min(opts.SeqLen, sim.CompiledMaxLanes))
 		s.powers = make([]float64, s.stack.Cap())
 	}
@@ -125,7 +126,7 @@ func (s *laneSampler) Circuit() *netlist.Circuit { return s.ls.Circuit() }
 func (s *laneSampler) StepHiddenN(n int) { s.ls.StepHiddenN(n) }
 
 func (s *laneSampler) sample(dst, cov []float64, counts []uint64) ([]float64, []float64) {
-	if s.ed == nil {
+	if s.stack == nil {
 		s.ls.AccumulateToggles(counts)
 		s.ls.StepSampled(s.weights, s.tog[:])
 		dst = append(dst, s.tog[0])
@@ -146,11 +147,11 @@ func (s *laneSampler) sample(dst, cov []float64, counts []uint64) ([]float64, []
 }
 
 func (s *laneSampler) flush(dst []float64, counts []uint64) []float64 {
-	if s.ed == nil {
+	if s.stack == nil {
 		return dst
 	}
 	n := s.stack.Len()
-	s.stack.Observe(s.ed, s.weights, s.powers, counts)
+	s.stack.Observe(s.delays, s.weights, s.powers, counts)
 	return append(dst, s.powers[:n]...)
 }
 

@@ -89,7 +89,8 @@ type LaneSession interface {
 	StepSampled(weights, powers []float64)
 	// StepSampledWith advances one cycle, observing each lane with the
 	// power engine (general-delay accounting): lane k's power is what
-	// engine.CyclePower returns for it.
+	// engine.CyclePower returns for it. The compiled backend observes
+	// word-level and accepts only an *EventDriven engine.
 	StepSampledWith(engine PowerEngine, weights, powers []float64)
 	// StepSampledBoth observes each lane with the power engine while
 	// also computing the zero-delay toggle covariate at word level.

@@ -67,12 +67,8 @@ type CompiledSession struct {
 	accBuf  []uint64 // word-local input accumulators (one per input)
 
 	// wave observes general-delay sampled cycles 64 lanes per word
-	// (built at the first one); svals/spins/sq are one lane in scalar
-	// form, for any other power engine.
-	wave  *waveEngine
-	svals []bool
-	spins []bool
-	sq    []bool
+	// (built at the first one).
+	wave *waveEngine
 
 	// counts, when installed via AccumulateToggles, receives per-node
 	// transition counts summed over all active lanes of every sampled
@@ -172,9 +168,6 @@ func NewCompiledSessionConfig(c *netlist.Circuit, srcs []vectors.Source, cfg Com
 		buf:     make([]uint64, len(c.Inputs)*w),
 		laneBuf: make([]bool, len(c.Inputs)),
 		accBuf:  make([]uint64, len(c.Inputs)),
-		svals:   make([]bool, c.NumNodes()),
-		spins:   make([]bool, len(c.Inputs)),
-		sq:      make([]bool, len(c.Latches)),
 	}
 	s.instrument = cfg.Instrument
 	s.bFull = blockProgram(u.Full, w, cfg, true)
@@ -472,24 +465,19 @@ func (s *CompiledSession) StepSampled(weights []float64, powers []float64) {
 
 // observeLanes observes every lane of the advanced-but-unapplied state
 // (settled values in full, new pins in buf, new latch state in nextQ)
-// with the power engine. The event-driven engine runs word-level,
-// straight off the rows (waveEngine: each lane bit-identical to
-// EventDriven.Cycle); any other engine gets each lane unpacked into
-// scalar form — the compiled counterpart of PackedSession.observeLanes.
+// word-level, straight off the rows, under the event-driven engine's
+// delay table: each lane is bit-identical to EventDriven.Cycle (see
+// waveEngine). The event-driven simulator is the only general-delay
+// engine, so any other engine is a caller bug and panics.
 func (s *CompiledSession) observeLanes(engine PowerEngine, weights, powers []float64) {
-	if ed, ok := engine.(*EventDriven); ok {
-		if s.wave == nil {
-			s.wave = newWaveEngine(s.c)
-		}
-		s.wave.observe(ed, s.full, s.buf, s.nextQ, s.w, s.lanes, weights, powers, s.counts)
-		return
+	ed, ok := engine.(*EventDriven)
+	if !ok {
+		panic(fmt.Sprintf("sim: compiled general-delay observation needs the event-driven engine, got %s", engine.Name()))
 	}
-	for k := 0; k < s.lanes; k++ {
-		s.extractRows(k, s.svals, s.full)
-		s.extractRows(k, s.spins, s.buf)
-		s.extractRows(k, s.sq, s.nextQ)
-		powers[k] = engine.CyclePower(s.svals, s.spins, s.sq, weights, s.counts)
+	if s.wave == nil {
+		s.wave = newWaveEngine(s.c)
 	}
+	s.wave.observe(ed.delays, s.full, s.buf, s.nextQ, s.w, s.lanes, weights, powers, s.counts)
 }
 
 // toggleDiff accumulates each lane's weighted toggle sum from the
@@ -552,9 +540,9 @@ func (s *CompiledSession) toggleDiff(weights, powers []float64, counts []uint64)
 }
 
 // StepSampledWith advances every lane one clock cycle, observing each
-// lane with the power engine — the general-delay path, word-level for
-// the event-driven engine. Per-lane results are bit-identical to
-// PackedSession.StepSampledWith.
+// lane with the event-driven engine — the general-delay path, run
+// word-level (observeLanes; engine must be an *EventDriven). Per-lane
+// results are bit-identical to PackedSession.StepSampledWith.
 func (s *CompiledSession) StepSampledWith(engine PowerEngine, weights []float64, powers []float64) {
 	if len(powers) < s.lanes {
 		panic(fmt.Sprintf("sim: compiled StepSampledWith powers length %d, want >= %d", len(powers), s.lanes))
@@ -569,9 +557,9 @@ func (s *CompiledSession) StepSampledWith(engine PowerEngine, weights []float64,
 }
 
 // StepSampledBoth advances every lane one clock cycle, observing each
-// lane with the power engine (as StepSampledWith) while also computing
-// the zero-delay toggle covariate from the row diff — both per-lane
-// bit-identical to PackedSession.StepSampledBoth.
+// lane with the event-driven engine (as StepSampledWith) while also
+// computing the zero-delay toggle covariate from the row diff — both
+// per-lane bit-identical to PackedSession.StepSampledBoth.
 func (s *CompiledSession) StepSampledBoth(engine PowerEngine, weights []float64, powers, toggles []float64) {
 	if len(powers) < s.lanes || len(toggles) < s.lanes {
 		panic(fmt.Sprintf("sim: compiled StepSampledBoth powers/toggles lengths %d/%d, want >= %d",

@@ -49,8 +49,9 @@ func newPackedTiles(c *netlist.Circuit, lanes int, base int64) []packedTile {
 // bit-identical. The packed tiles observe general-delay cycles one lane
 // at a time with the scalar EventDriven, the compiled session with the
 // word-level engine, so this is also the word engine's differential
-// test against its scalar reference; the word engine's own settled rows
-// are checked against the session's after every general-delay step.
+// test against its scalar reference; the word engine's own settled
+// values — of the last word it observed, whose waveforms it still holds
+// — are checked against the session's after every general-delay step.
 func diffCompiledPacked(t *testing.T, c *netlist.Circuit, lanes, cycles int, base, rngSeed int64) {
 	t.Helper()
 	diffCompiledPackedConfig(t, c, lanes, cycles, base, rngSeed, CompiledConfig{})
@@ -77,8 +78,6 @@ func diffCompiledPackedDelays(t *testing.T, c *netlist.Circuit, dt *delay.Table,
 	}
 	csEngine := NewEventDriven(c, dt)
 	tileEngine := NewEventDriven(c, dt)
-	cs.wave = newWaveEngine(c)
-	cs.wave.settled = make([]uint64, c.NumNodes()*cs.w)
 	cCounts := make([]uint64, c.NumNodes())
 	pCounts := make([]uint64, c.NumNodes())
 	cs.AccumulateToggles(cCounts)
@@ -128,12 +127,12 @@ func diffCompiledPackedDelays(t *testing.T, c *netlist.Circuit, dt *delay.Table,
 						t.Fatalf("cycle %d lane %d: input %d mismatch", cycle, lane, i)
 					}
 				}
-				word, bit := lane>>6, uint64(1)<<uint(lane&63)
+				lastWord, bit := lane>>6 == (lanes-1)>>6, uint64(1)<<uint(lane&63)
 				for i := range cVals {
 					if cVals[i] != pVals[i] {
 						t.Fatalf("cycle %d lane %d: node %s mismatch", cycle, lane, c.Nodes[i].Name)
 					}
-					if waved && (cs.wave.settled[i*cs.w+word]&bit != 0) != cVals[i] {
+					if waved && lastWord && (waveSettled(cs.wave, i)&bit != 0) != cVals[i] {
 						t.Fatalf("cycle %d lane %d: word engine settled node %s to %v", cycle, lane, c.Nodes[i].Name, !cVals[i])
 					}
 				}
@@ -192,6 +191,16 @@ func diffCompiledPackedDelays(t *testing.T, c *netlist.Circuit, dt *delay.Table,
 	if ch != ph || csamp != psamp {
 		t.Fatalf("cycle counters (%d, %d), packed (%d, %d)", ch, csamp, ph, psamp)
 	}
+}
+
+// waveSettled returns node i's value word at the end of the word the
+// engine observed last: its last change point's value, or its value
+// before the cycle when it did not change.
+func waveSettled(we *waveEngine, i int) uint64 {
+	if n := we.npts[i]; n > 0 {
+		return we.pts[we.first[i]+n-1].v
+	}
+	return we.init[i]
 }
 
 // TestCompiledMatchesPackedBench89 runs the differential battery over
@@ -322,6 +331,20 @@ func TestCompiledMultiWordLanes(t *testing.T) {
 	}
 }
 
+// TestCompiledSampledWithRequiresEventDriven: the compiled backend
+// observes general-delay cycles word-level only, so handing it another
+// power engine is refused rather than silently observed some other way.
+func TestCompiledSampledWithRequiresEventDriven(t *testing.T) {
+	c := bench89.MustGet("s27")
+	cs := NewCompiledSession(c, laneSources(len(c.Inputs), 3, 1))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("StepSampledWith accepted the zero-delay toggle engine")
+		}
+	}()
+	cs.StepSampledWith(NewZeroDelayToggle(c), make([]float64, c.NumNodes()), make([]float64, 3))
+}
+
 // TestCycleStackMatchesScalar records one replication's sampled cycles
 // with StepSampledRecord on one-lane sessions of both backends and
 // checks the stacked word-level observation against a scalar session in
@@ -341,7 +364,6 @@ func TestCycleStackMatchesScalar(t *testing.T) {
 			ref := NewSession(c, dt, laneSources(len(c.Inputs), 1, 77)[0], weights)
 			ls := NewLaneSession(b, c, laneSources(len(c.Inputs), 1, 77))
 			stack := NewCycleStack(c, CompiledMaxLanes)
-			ed := NewEventDriven(c, dt)
 			powers := make([]float64, CompiledMaxLanes)
 			vals := make([]bool, c.NumNodes())
 			var tog [1]float64
@@ -365,7 +387,7 @@ func TestCycleStackMatchesScalar(t *testing.T) {
 					ls.StepHiddenN(k % 3)
 				}
 				counts := make([]uint64, c.NumNodes())
-				stack.Observe(ed, weights, powers, counts)
+				stack.Observe(dt, weights, powers, counts)
 				for k := 0; k < n; k++ {
 					if powers[k] != want[k] {
 						t.Fatalf("%s/%s/%d: cycle %d power %v, scalar %v", model, b, n, k, powers[k], want[k])

@@ -182,28 +182,28 @@ func NewEventDriven(c *netlist.Circuit, dt *delay.Table) *EventDriven {
 			panic(fmt.Sprintf("sim: node %d has negative delay %d", i, d))
 		}
 	}
-	return &EventDriven{csr: c.CSR(), delays: dt.Delays, modelName: dt.ModelName, now: -1}
-}
-
-// alloc sizes the simulation scratch at the first Cycle, so an engine
-// that only carries a delay table to the word-level observer (see
-// CompiledSession.StepSampledWith) costs no queue or per-node state.
-func (e *EventDriven) alloc() {
-	n := e.csr.NumNodes()
+	r := c.CSR()
+	n := r.NumNodes()
 	levels := int32(1)
-	for _, l := range e.csr.Level {
+	for _, l := range r.Level {
 		levels = max(levels, l+1)
 	}
-	width, slots := wheelGeometry(e.delays)
-	e.wheel = make([]eventList, slots)
-	e.mask = int64(slots - 1)
-	e.width = width
-	e.level = make([]eventList, levels)
-	e.occupied = make([]uint64, (levels+63)/64)
-	e.gates = make([]gateState, n)
-	e.toggles = make([]uint32, n)
-	e.touched = make([]uint64, (n+63)/64)
+	width, slots := wheelGeometry(dt.Delays)
+	e := &EventDriven{
+		csr:       r,
+		delays:    dt.Delays,
+		modelName: dt.ModelName,
+		wheel:     make([]eventList, slots),
+		mask:      int64(slots - 1),
+		width:     width,
+		level:     make([]eventList, levels),
+		occupied:  make([]uint64, (levels+63)/64),
+		gates:     make([]gateState, n),
+		toggles:   make([]uint32, n),
+		touched:   make([]uint64, (n+63)/64),
+	}
 	e.resetQueue()
+	return e
 }
 
 // resetQueue empties the wheel, the level lists, the event pool, the
@@ -240,9 +240,7 @@ func (e *EventDriven) Cycle(vals []bool, newPins, newQ []bool, weights []float64
 	e.LastSettleTime = 0
 	// The wheel is always drained by the previous Cycle; an aborted one
 	// (a panicking observer) must not leak stale work into this one.
-	if e.gates == nil {
-		e.alloc()
-	} else if e.queued != 0 || e.now != -1 {
+	if e.queued != 0 || e.now != -1 {
 		e.resetQueue()
 	}
 

@@ -62,10 +62,6 @@ type waveEngine struct {
 	fv   []uint64
 	pos  []int32
 	acc  [64]float64
-
-	// settled, when non-nil (len NumNodes*w), receives each node's value
-	// words after the cycle — a hook for the differential tests.
-	settled []uint64
 }
 
 // wavePoint is one change point of a node's waveform: from time t on the
@@ -114,10 +110,12 @@ func newWaveEngine(c *netlist.Circuit) *waveEngine {
 // row with lane k in bit k%64 of word k/64 (lanes <= 64*w). powers[k]
 // receives lane k's weighted transition sum for k < lanes, and counts
 // (when non-nil) each node's transitions summed over the lanes —
-// bit-identical to lanes observed one at a time by ed.Cycle.
-func (we *waveEngine) observe(ed *EventDriven, vals, pins, q []uint64, w, lanes int, weights, powers []float64, counts []uint64) {
-	if ed.csr != we.csr {
-		panic("sim: event-driven engine built for another circuit")
+// bit-identical to lanes observed one at a time by an EventDriven built
+// over delays. After the call the engine holds the last word's
+// waveforms.
+func (we *waveEngine) observe(delays []delay.Picoseconds, vals, pins, q []uint64, w, lanes int, weights, powers []float64, counts []uint64) {
+	if len(delays) != we.csr.NumNodes() {
+		panic(fmt.Sprintf("sim: word-level observation delay table length %d, want %d", len(delays), we.csr.NumNodes()))
 	}
 	if len(weights) != we.csr.NumNodes() {
 		panic(fmt.Sprintf("sim: word-level observation weights length %d, want %d", len(weights), we.csr.NumNodes()))
@@ -127,16 +125,8 @@ func (we *waveEngine) observe(ed *EventDriven, vals, pins, q []uint64, w, lanes 
 		if r := lanes - j<<6; r < 64 {
 			mask = 1<<uint(r) - 1
 		}
-		we.word(ed.delays, vals, pins, q, w, j, mask)
+		we.word(delays, vals, pins, q, w, j, mask)
 		we.sum(weights, powers[j<<6:min(lanes, j<<6+64)], counts)
-		if we.settled != nil {
-			for i, v := range we.init {
-				if n := we.npts[i]; n > 0 {
-					v = we.pts[we.first[i]+n-1].v
-				}
-				we.settled[i*w+j] = v
-			}
-		}
 	}
 }
 
@@ -349,9 +339,10 @@ func (s *CycleStack) record(vals, pins, q []uint64, w, lanes int) {
 }
 
 // Observe writes the power of every recorded cycle, in recording order,
-// into powers[:Len()] as ed would observe it, adds their per-node
-// transition counts to counts when it is non-nil, and empties the stack.
-func (s *CycleStack) Observe(ed *EventDriven, weights, powers []float64, counts []uint64) {
-	s.wave.observe(ed, s.vals, s.pins, s.q, s.w, s.n, weights, powers, counts)
+// into powers[:Len()] as an EventDriven built over dt would observe it,
+// adds their per-node transition counts to counts when it is non-nil,
+// and empties the stack.
+func (s *CycleStack) Observe(dt *delay.Table, weights, powers []float64, counts []uint64) {
+	s.wave.observe(dt.Delays, s.vals, s.pins, s.q, s.w, s.n, weights, powers, counts)
 	s.n = 0
 }
