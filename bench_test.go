@@ -227,11 +227,10 @@ func BenchmarkPackedSampled(b *testing.B) {
 				srcs[k] = vectors.NewIID(len(c.Inputs), 0.5, int64(k+1))
 			}
 			s := sim.NewPackedSession(c, srcs)
-			ed := sim.NewEventDriven(c, tb.Delays)
 			powers := make([]float64, sim.MaxLanes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.StepSampledWith(ed, tb.Weights(), powers)
+				s.StepSampledWith(tb.Delays, tb.Weights(), powers)
 			}
 			b.ReportMetric(float64(b.N*sim.MaxLanes)/b.Elapsed().Seconds(), "cycles/sec")
 		})
@@ -253,12 +252,11 @@ func BenchmarkGeneralDelaySampled(b *testing.B) {
 				srcs[k] = vectors.NewIID(len(c.Inputs), 0.5, int64(k+1))
 			}
 			s := sim.NewCompiledSession(c, srcs)
-			ed := sim.NewEventDriven(c, tb.Delays)
 			powers := make([]float64, sim.CompiledMaxLanes)
 			s.StepHiddenN(16)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.StepSampledWith(ed, tb.Weights(), powers)
+				s.StepSampledWith(tb.Delays, tb.Weights(), powers)
 			}
 			b.ReportMetric(float64(b.N*sim.CompiledMaxLanes)/b.Elapsed().Seconds(), "cycles/sec")
 		})

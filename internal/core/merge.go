@@ -550,14 +550,14 @@ func StreamReplications(ctx context.Context, tb *Testbench, src vectors.Factory,
 				block := sh.powers[t*sh.lanes : (t+1)*sh.lanes]
 				switch {
 				case sh.cov != nil:
-					sh.ps.StepSampledBoth(sh.engine, weights, block, sh.cov)
+					sh.ps.StepSampledBoth(sh.delays, weights, block, sh.cov)
 					for k, x := range block {
 						block[k] = plan.Apply(x, sh.cov[k])
 					}
-				case sh.engine == nil:
+				case sh.delays == nil:
 					sh.ps.StepSampled(weights, block)
 				default:
-					sh.ps.StepSampledWith(sh.engine, weights, block)
+					sh.ps.StepSampledWith(sh.delays, weights, block)
 				}
 				if sh.snap != nil && t+1 == countRounds {
 					copy(sh.snap, sh.counts)

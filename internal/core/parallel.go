@@ -14,14 +14,14 @@ import (
 // shard is one worker's slice of the replication space: a contiguous
 // range of replication indices driven by a single lane-parallel session
 // (at most sim.MaxLanes lanes interpreted, sim.CompiledMaxLanes
-// compiled). Under the general-delay engine each shard additionally
-// owns a private event-driven engine for the sampled cycles (the
-// compiled session observes with it word-level, the packed one lane by
-// lane); under the word-parallel zero-delay engines sampled cycles stay
-// packed and engine is nil.
+// compiled). Under the general-delay engine each shard's sampled cycles
+// are observed under the testbench's delay table (the compiled session
+// word-level, the packed one lane by lane with its own scalar
+// simulator); under the word-parallel zero-delay engines sampled cycles
+// stay packed and delays is nil.
 type shard struct {
 	ps     sim.LaneSession
-	engine sim.PowerEngine
+	delays *delay.Table
 	lanes  int
 	powers []float64 // per-block lane powers, round-major: [round*lanes + lane]
 	cov    []float64 // per-round covariate scratch (control-variate runs only)
@@ -59,7 +59,7 @@ func newShards(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options,
 			lanes: lanes,
 		}
 		if !packedSampled {
-			sh.engine = sim.NewEventDriven(tb.Circuit, tb.Delays)
+			sh.delays = tb.Delays
 		}
 		if plan.NeedsCovariate() {
 			sh.cov = make([]float64, lanes)

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/delay"
 	"repro/internal/netlist"
 	"repro/internal/vectors"
 )
@@ -87,14 +88,14 @@ type LaneSession interface {
 	// StepSampled advances one cycle and writes each lane's weighted
 	// zero-delay toggle power into powers[:Lanes()].
 	StepSampled(weights, powers []float64)
-	// StepSampledWith advances one cycle, observing each lane with the
-	// power engine (general-delay accounting): lane k's power is what
-	// engine.CyclePower returns for it. The compiled backend observes
-	// word-level and accepts only an *EventDriven engine.
-	StepSampledWith(engine PowerEngine, weights, powers []float64)
-	// StepSampledBoth observes each lane with the power engine while
-	// also computing the zero-delay toggle covariate at word level.
-	StepSampledBoth(engine PowerEngine, weights []float64, powers, toggles []float64)
+	// StepSampledWith advances one cycle, observing each lane under
+	// the delay table dt (general-delay accounting): lane k's power is
+	// what EventDriven.Cycle under dt returns for it. The compiled
+	// backend observes word-level, the packed one lane by lane.
+	StepSampledWith(dt *delay.Table, weights, powers []float64)
+	// StepSampledBoth observes each lane under dt while also computing
+	// the zero-delay toggle covariate at word level.
+	StepSampledBoth(dt *delay.Table, weights []float64, powers, toggles []float64)
 	// StepSampledRecord advances one sampled cycle, recording every
 	// lane's cycle on stack for word-level observation later, and
 	// writes the zero-delay toggle powers into toggles unless it is nil.

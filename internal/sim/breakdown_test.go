@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bench89"
+	"repro/internal/delay"
 	"repro/internal/vectors"
 )
 
@@ -87,7 +88,9 @@ func TestToggleCountsThreeWayDifferential(t *testing.T) {
 // sampled path (StepSampledWith) and the paired observation path
 // (StepSampledBoth): both accumulate the scalar engine's per-node
 // counts, and the covariate word-level toggle diff of StepSampledBoth
-// must not double-count.
+// must not double-count. Under an all-zero delay table the event-driven
+// counts are exactly the zero-delay toggle engine's, which the scalar
+// reference sessions run.
 func TestToggleCountsGeneralDelayMatchScalar(t *testing.T) {
 	c := bench89.MustGet("s298")
 	const lanes = 9
@@ -109,15 +112,15 @@ func TestToggleCountsGeneralDelayMatchScalar(t *testing.T) {
 		got := make([]uint64, c.NumNodes())
 		ps := NewPackedSession(c, iidSources(len(c.Inputs), 0, lanes, base))
 		ps.AccumulateToggles(got)
-		engine := NewZeroDelayToggle(c)
+		zt := delay.BuildTable(c, delay.Zero{})
 		powers := make([]float64, lanes)
 		toggles := make([]float64, lanes)
 		ps.StepHiddenN(4)
 		for i := 0; i < 12; i++ {
 			if both {
-				ps.StepSampledBoth(engine, w, powers, toggles)
+				ps.StepSampledBoth(zt, w, powers, toggles)
 			} else {
-				ps.StepSampledWith(engine, w, powers)
+				ps.StepSampledWith(zt, w, powers)
 			}
 		}
 		for i := range got {

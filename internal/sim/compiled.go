@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/compile"
+	"repro/internal/delay"
 	"repro/internal/netlist"
 	"repro/internal/vectors"
 )
@@ -465,19 +466,13 @@ func (s *CompiledSession) StepSampled(weights []float64, powers []float64) {
 
 // observeLanes observes every lane of the advanced-but-unapplied state
 // (settled values in full, new pins in buf, new latch state in nextQ)
-// word-level, straight off the rows, under the event-driven engine's
-// delay table: each lane is bit-identical to EventDriven.Cycle (see
-// waveEngine). The event-driven simulator is the only general-delay
-// engine, so any other engine is a caller bug and panics.
-func (s *CompiledSession) observeLanes(engine PowerEngine, weights, powers []float64) {
-	ed, ok := engine.(*EventDriven)
-	if !ok {
-		panic(fmt.Sprintf("sim: compiled general-delay observation needs the event-driven engine, got %s", engine.Name()))
-	}
+// word-level, straight off the rows, under the delay table dt: each
+// lane is bit-identical to EventDriven.Cycle under dt (see waveEngine).
+func (s *CompiledSession) observeLanes(dt *delay.Table, weights, powers []float64) {
 	if s.wave == nil {
 		s.wave = newWaveEngine(s.c)
 	}
-	s.wave.observe(ed.delays, s.full, s.buf, s.nextQ, s.w, s.lanes, weights, powers, s.counts)
+	s.wave.observe(dt.Delays, s.full, s.buf, s.nextQ, s.w, s.lanes, weights, powers, s.counts)
 }
 
 // toggleDiff accumulates each lane's weighted toggle sum from the
@@ -540,16 +535,16 @@ func (s *CompiledSession) toggleDiff(weights, powers []float64, counts []uint64)
 }
 
 // StepSampledWith advances every lane one clock cycle, observing each
-// lane with the event-driven engine — the general-delay path, run
-// word-level (observeLanes; engine must be an *EventDriven). Per-lane
-// results are bit-identical to PackedSession.StepSampledWith.
-func (s *CompiledSession) StepSampledWith(engine PowerEngine, weights []float64, powers []float64) {
+// lane as the event-driven simulator under dt would — the general-delay
+// path, run word-level (observeLanes). Per-lane results are
+// bit-identical to PackedSession.StepSampledWith.
+func (s *CompiledSession) StepSampledWith(dt *delay.Table, weights []float64, powers []float64) {
 	if len(powers) < s.lanes {
 		panic(fmt.Sprintf("sim: compiled StepSampledWith powers length %d, want >= %d", len(powers), s.lanes))
 	}
 	s.refreshFull()
 	s.advanceFull()
-	s.observeLanes(engine, weights, powers)
+	s.observeLanes(dt, weights, powers)
 	s.q, s.nextQ = s.nextQ, s.q
 	s.pins, s.buf = s.buf, s.pins
 	s.settleFull()
@@ -557,10 +552,10 @@ func (s *CompiledSession) StepSampledWith(engine PowerEngine, weights []float64,
 }
 
 // StepSampledBoth advances every lane one clock cycle, observing each
-// lane with the event-driven engine (as StepSampledWith) while also
-// computing the zero-delay toggle covariate from the row diff — both
-// per-lane bit-identical to PackedSession.StepSampledBoth.
-func (s *CompiledSession) StepSampledBoth(engine PowerEngine, weights []float64, powers, toggles []float64) {
+// lane under dt (as StepSampledWith) while also computing the
+// zero-delay toggle covariate from the row diff — both per-lane
+// bit-identical to PackedSession.StepSampledBoth.
+func (s *CompiledSession) StepSampledBoth(dt *delay.Table, weights []float64, powers, toggles []float64) {
 	if len(powers) < s.lanes || len(toggles) < s.lanes {
 		panic(fmt.Sprintf("sim: compiled StepSampledBoth powers/toggles lengths %d/%d, want >= %d",
 			len(powers), len(toggles), s.lanes))
@@ -570,7 +565,7 @@ func (s *CompiledSession) StepSampledBoth(engine PowerEngine, weights []float64,
 	}
 	s.refreshFull()
 	s.advanceFull()
-	s.observeLanes(engine, weights, powers)
+	s.observeLanes(dt, weights, powers)
 	s.q, s.nextQ = s.nextQ, s.q
 	s.pins, s.buf = s.buf, s.pins
 	s.swapFull()

@@ -76,8 +76,6 @@ func diffCompiledPackedDelays(t *testing.T, c *netlist.Circuit, dt *delay.Table,
 	for i := range weights {
 		weights[i] = 1 + float64(i%7)/3
 	}
-	csEngine := NewEventDriven(c, dt)
-	tileEngine := NewEventDriven(c, dt)
 	cCounts := make([]uint64, c.NumNodes())
 	pCounts := make([]uint64, c.NumNodes())
 	cs.AccumulateToggles(cCounts)
@@ -164,19 +162,19 @@ func diffCompiledPackedDelays(t *testing.T, c *netlist.Circuit, dt *delay.Table,
 			// General-delay sampling (StepSampledWith): word-level on the
 			// compiled session, one scalar engine per lane on the tiles.
 			waved = true
-			cs.StepSampledWith(csEngine, weights, cPow)
+			cs.StepSampledWith(dt, weights, cPow)
 			copy(cTog, cPow)
 			for _, tl := range tiles {
-				tl.ps.StepSampledWith(tileEngine, weights, pPow[tl.lo:tl.lo+tl.ps.Lanes()])
+				tl.ps.StepSampledWith(dt, weights, pPow[tl.lo:tl.lo+tl.ps.Lanes()])
 			}
 			copy(pTog, pPow)
 		default:
 			// Engine power plus toggle covariate (StepSampledBoth).
 			waved = true
-			cs.StepSampledBoth(csEngine, weights, cPow, cTog)
+			cs.StepSampledBoth(dt, weights, cPow, cTog)
 			for _, tl := range tiles {
 				lo, hi := tl.lo, tl.lo+tl.ps.Lanes()
-				tl.ps.StepSampledBoth(tileEngine, weights, pPow[lo:hi], pTog[lo:hi])
+				tl.ps.StepSampledBoth(dt, weights, pPow[lo:hi], pTog[lo:hi])
 			}
 		}
 		compareLanes(cycle, sampled, waved)
@@ -329,20 +327,6 @@ func TestCompiledMultiWordLanes(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestCompiledSampledWithRequiresEventDriven: the compiled backend
-// observes general-delay cycles word-level only, so handing it another
-// power engine is refused rather than silently observed some other way.
-func TestCompiledSampledWithRequiresEventDriven(t *testing.T) {
-	c := bench89.MustGet("s27")
-	cs := NewCompiledSession(c, laneSources(len(c.Inputs), 3, 1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("StepSampledWith accepted the zero-delay toggle engine")
-		}
-	}()
-	cs.StepSampledWith(NewZeroDelayToggle(c), make([]float64, c.NumNodes()), make([]float64, 3))
 }
 
 // TestCycleStackMatchesScalar records one replication's sampled cycles

@@ -23,11 +23,12 @@
 // in levelized order, evaluates a gate at its fanins' merged change
 // times and commits each change in the lanes where the gate's function
 // does not change again within one gate delay (inertial filtering as a
-// sliding OR of change masks). It is the compiled backend's only
-// general-delay observer: CompiledSession.StepSampledWith accepts the
-// *EventDriven engine alone and reads only its delay table.
-// sim.CycleStack applies the same engine, under a delay table, to one
-// replication's sampled cycles recorded as stacked lanes.
+// sliding OR of change masks). Lane sessions therefore take a delay
+// table, not an engine, for general-delay sampling
+// (LaneSession.StepSampledWith): the compiled session hands it to the
+// waveform engine, the packed one to a scalar EventDriven of its own.
+// sim.CycleStack applies the waveform engine, under a delay table, to
+// one replication's sampled cycles recorded as stacked lanes.
 //
 // The scalar simulator commits events in (time, logic level, scheduling
 // order). Its event queue is a timing wheel whose slot width is the gcd

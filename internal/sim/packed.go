@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/delay"
 	"repro/internal/netlist"
 	"repro/internal/vectors"
 )
@@ -106,10 +107,14 @@ type PackedSession struct {
 
 	laneBuf []bool // one lane's pattern, as drawn from its source
 
-	// scratch for sampled cycles: one lane in scalar representation.
-	svals []bool
-	spins []bool
-	sq    []bool
+	// scratch for general-delay sampled cycles: one lane in scalar
+	// representation, and the scalar event-driven simulator that
+	// observes it (built at the first such cycle, for table edTable).
+	svals   []bool
+	spins   []bool
+	sq      []bool
+	ed      *EventDriven
+	edTable *delay.Table
 
 	// counts, when installed via AccumulateToggles, receives per-node
 	// transition counts summed over all active lanes of every sampled
@@ -273,16 +278,19 @@ func (s *PackedSession) StepSampledRecord(stack *CycleStack, weights, toggles []
 
 // observeLanes hands every lane of the advanced-but-unapplied state
 // (after advance: current settled values in vals, new pins in buf, new
-// latch state in nextQ) to the scalar power engine. It is the one
-// per-lane observation pass shared by StepSampledWith and
+// latch state in nextQ) to the scalar event-driven simulator under dt.
+// It is the one per-lane observation pass shared by StepSampledWith and
 // StepSampledBoth, which keeps their powers bit-identical by
 // construction.
-func (s *PackedSession) observeLanes(engine PowerEngine, weights, powers []float64) {
+func (s *PackedSession) observeLanes(dt *delay.Table, weights, powers []float64) {
+	if s.edTable != dt {
+		s.ed, s.edTable = NewEventDriven(s.c, dt), dt
+	}
 	for k := 0; k < s.lanes; k++ {
 		extractWord(k, s.svals, s.vals)
 		extractWord(k, s.spins, s.buf)
 		extractWord(k, s.sq, s.nextQ)
-		powers[k] = engine.CyclePower(s.svals, s.spins, s.sq, weights, s.counts)
+		powers[k] = s.ed.Cycle(s.svals, s.spins, s.sq, weights, s.counts)
 	}
 }
 
@@ -312,18 +320,19 @@ func (s *PackedSession) toggleDiff(weights, powers []float64, counts []uint64) {
 }
 
 // StepSampledWith advances every lane one clock cycle, observing each
-// lane's transitions with the scalar power engine (which must be built
-// for the same circuit) — per-lane event-driven simulation for the
-// general-delay mode. powers[k] receives lane k's weighted transition
-// sum (len(powers) >= Lanes()). The packed state is advanced by a
-// zero-delay settle — every engine agrees with zero-delay simulation on
-// settled values, so lane equivalence with scalar sessions is exact.
-func (s *PackedSession) StepSampledWith(engine PowerEngine, weights []float64, powers []float64) {
+// lane's transitions with the scalar event-driven simulator under the
+// delay table dt (built for the same circuit) — per-lane event-driven
+// simulation for the general-delay mode. powers[k] receives lane k's
+// weighted transition sum (len(powers) >= Lanes()). The packed state is
+// advanced by a zero-delay settle — the event-driven simulator agrees
+// with zero-delay simulation on settled values, so lane equivalence
+// with scalar sessions is exact.
+func (s *PackedSession) StepSampledWith(dt *delay.Table, weights []float64, powers []float64) {
 	if len(powers) < s.lanes {
 		panic(fmt.Sprintf("sim: packed StepSampledWith powers length %d, want >= %d", len(powers), s.lanes))
 	}
 	s.advance()
-	s.observeLanes(engine, weights, powers)
+	s.observeLanes(dt, weights, powers)
 	s.q, s.nextQ = s.nextQ, s.q
 	s.pins, s.buf = s.buf, s.pins
 	s.pz.Settle(s.vals, s.pins, s.q)
@@ -331,14 +340,14 @@ func (s *PackedSession) StepSampledWith(engine PowerEngine, weights []float64, p
 }
 
 // StepSampledBoth advances every lane one clock cycle, observing each
-// lane's transitions with the scalar power engine (exactly as
+// lane's transitions with the scalar event-driven simulator (exactly as
 // StepSampledWith does — powers[k] is bit-identical to it) while also
 // computing every lane's zero-delay toggle power at word level (exactly
 // as StepSampled does — toggles[k] is bit-identical to it). The same
 // cycle thus yields the general-delay sample and its functional-toggle
 // covariate, which is what the control-variate transform consumes: the
 // covariate costs one extra XOR diff pass, not a second simulation.
-func (s *PackedSession) StepSampledBoth(engine PowerEngine, weights []float64, powers, toggles []float64) {
+func (s *PackedSession) StepSampledBoth(dt *delay.Table, weights []float64, powers, toggles []float64) {
 	if len(powers) < s.lanes || len(toggles) < s.lanes {
 		panic(fmt.Sprintf("sim: packed StepSampledBoth powers/toggles lengths %d/%d, want >= %d",
 			len(powers), len(toggles), s.lanes))
@@ -347,7 +356,7 @@ func (s *PackedSession) StepSampledBoth(engine PowerEngine, weights []float64, p
 		panic(fmt.Sprintf("sim: packed StepSampledBoth weights length %d, want %d", len(weights), len(s.vals)))
 	}
 	s.advance()
-	s.observeLanes(engine, weights, powers)
+	s.observeLanes(dt, weights, powers)
 	s.q, s.nextQ = s.nextQ, s.q
 	s.pins, s.buf = s.buf, s.pins
 	s.vals, s.oldVals = s.oldVals, s.vals

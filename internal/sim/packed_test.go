@@ -85,7 +85,6 @@ func TestPropertyPackedSampledMatchesScalar(t *testing.T) {
 			w[i] = 1 + float64(i%5)
 		}
 		dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
-		ed := NewEventDriven(c, dt)
 		scalar := make([]*Session, lanes)
 		for k := range scalar {
 			scalar[k] = NewSession(c, dt, vectors.NewIID(len(c.Inputs), 0.5, base+int64(k)), w)
@@ -102,7 +101,7 @@ func TestPropertyPackedSampledMatchesScalar(t *testing.T) {
 					scalar[k].StepHidden()
 				}
 			} else {
-				ps.StepSampledWith(ed, w, powers)
+				ps.StepSampledWith(dt, w, powers)
 				for k := 0; k < lanes; k++ {
 					p := scalar[k].StepSampled(nil)
 					if p != powers[k] {
@@ -144,12 +143,12 @@ func TestPackedCounters(t *testing.T) {
 	c := bench89.S27()
 	const lanes = 5
 	ps := NewPackedSession(c, laneSources(len(c.Inputs), lanes, 11))
-	ed := NewEventDriven(c, delay.BuildTable(c, delay.Unit{}))
+	dt := delay.BuildTable(c, delay.Unit{})
 	w := make([]float64, c.NumNodes())
 	powers := make([]float64, lanes)
 	ps.StepHiddenN(7)
-	ps.StepSampledWith(ed, w, powers)
-	ps.StepSampledWith(ed, w, powers)
+	ps.StepSampledWith(dt, w, powers)
+	ps.StepSampledWith(dt, w, powers)
 	if ps.HiddenCycles != 7*lanes {
 		t.Errorf("HiddenCycles = %d, want %d", ps.HiddenCycles, 7*lanes)
 	}

@@ -34,8 +34,6 @@ func TestStepSampledBothMatchesSeparateSteps(t *testing.T) {
 	c := bench89.MustGet("s298")
 	dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
 	a, b, weights, lanes := pairBench(t, "s298")
-	engA := NewEventDriven(c, dt)
-	engB := NewEventDriven(c, dt)
 
 	a.StepHiddenN(32)
 	b.StepHiddenN(32)
@@ -49,9 +47,9 @@ func TestStepSampledBothMatchesSeparateSteps(t *testing.T) {
 		// cycles, StepSampled to check toggles on odd ones. Both advance
 		// the state identically to StepSampledBoth, so the sessions stay
 		// in lock-step.
-		a.StepSampledBoth(engA, weights, powersA, togglesA)
+		a.StepSampledBoth(dt, weights, powersA, togglesA)
 		if cycle%2 == 0 {
-			b.StepSampledWith(engB, weights, powersB)
+			b.StepSampledWith(dt, weights, powersB)
 			for k := 0; k < lanes; k++ {
 				if powersA[k] != powersB[k] {
 					t.Fatalf("cycle %d lane %d: both-power %v != with-power %v", cycle, k, powersA[k], powersB[k])
