@@ -192,47 +192,26 @@ func BenchmarkZeroDelayCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkPackedHidden measures one packed hidden cycle: 64
-// replications advance per iteration, so the cycles/sec metric counts
-// per-replication clock cycles and is directly comparable with
-// BenchmarkZeroDelayCycle's. The ≥10x target over the scalar baseline
-// is the acceptance bar recorded in BENCH_1.json.
-func BenchmarkPackedHidden(b *testing.B) {
+// BenchmarkCompiledHidden measures one hidden cycle of a 512-lane
+// compiled session (the Step program): 512 replications advance per
+// iteration, so the cycles/sec metric counts per-replication clock
+// cycles and is directly comparable with BenchmarkZeroDelayCycle's. The
+// ≥10x floor over the scalar baseline is gated in CI by the
+// dipe-experiments -engine report (BENCH_1.json).
+func BenchmarkCompiledHidden(b *testing.B) {
 	for _, name := range []string{"s298", "s832", "s1494", "s5378"} {
 		c := bench89.MustGet(name)
 		b.Run(name, func(b *testing.B) {
-			srcs := make([]vectors.Source, sim.MaxLanes)
+			srcs := make([]vectors.Source, sim.CompiledMaxLanes)
 			for k := range srcs {
 				srcs[k] = vectors.NewIID(len(c.Inputs), 0.5, int64(k+1))
 			}
-			s := sim.NewPackedSession(c, srcs)
+			s := sim.NewCompiledSession(c, srcs)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.StepHidden()
 			}
-			b.ReportMetric(float64(b.N*sim.MaxLanes)/b.Elapsed().Seconds(), "cycles/sec")
-		})
-	}
-}
-
-// BenchmarkPackedSampled measures one packed sampled cycle (64 lanes
-// through the scalar event-driven observer — the general-delay mode).
-func BenchmarkPackedSampled(b *testing.B) {
-	for _, name := range []string{"s298", "s1494"} {
-		c := bench89.MustGet(name)
-		tb := dipe.NewTestbench(c)
-		b.Run(name, func(b *testing.B) {
-			srcs := make([]vectors.Source, sim.MaxLanes)
-			for k := range srcs {
-				srcs[k] = vectors.NewIID(len(c.Inputs), 0.5, int64(k+1))
-			}
-			s := sim.NewPackedSession(c, srcs)
-			powers := make([]float64, sim.MaxLanes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.StepSampledWith(tb.Delays, tb.Weights(), powers)
-			}
-			b.ReportMetric(float64(b.N*sim.MaxLanes)/b.Elapsed().Seconds(), "cycles/sec")
+			b.ReportMetric(float64(b.N*sim.CompiledMaxLanes)/b.Elapsed().Seconds(), "cycles/sec")
 		})
 	}
 }
@@ -241,7 +220,7 @@ func BenchmarkPackedSampled(b *testing.B) {
 // of a 512-lane compiled session: every lane observed under the default
 // fanout-loaded delays by the word-level waveform engine, 64 lanes per
 // machine word. ns/op covers all 512 lanes; cycles/sec counts
-// per-replication cycles, comparable with BenchmarkPackedSampled.
+// per-replication cycles, comparable with BenchmarkEventDrivenCycle's.
 func BenchmarkGeneralDelaySampled(b *testing.B) {
 	for _, name := range []string{"s1494", "s5378"} {
 		c := bench89.MustGet(name)
@@ -263,25 +242,25 @@ func BenchmarkGeneralDelaySampled(b *testing.B) {
 	}
 }
 
-// BenchmarkPackedSampledZeroDelay measures one packed zero-delay
-// sampled cycle: all 64 lanes observed by word-level transition
-// counting, no scalar extraction at all.
-func BenchmarkPackedSampledZeroDelay(b *testing.B) {
+// BenchmarkZeroDelaySampled measures one zero-delay sampled cycle of a
+// 512-lane compiled session: every lane observed by the word-level
+// toggle diff of the Full program's rows, no scalar extraction at all.
+func BenchmarkZeroDelaySampled(b *testing.B) {
 	for _, name := range []string{"s298", "s1494"} {
 		c := bench89.MustGet(name)
 		tb := dipe.NewTestbench(c)
 		b.Run(name, func(b *testing.B) {
-			srcs := make([]vectors.Source, sim.MaxLanes)
+			srcs := make([]vectors.Source, sim.CompiledMaxLanes)
 			for k := range srcs {
 				srcs[k] = vectors.NewIID(len(c.Inputs), 0.5, int64(k+1))
 			}
-			s := sim.NewPackedSession(c, srcs)
-			powers := make([]float64, sim.MaxLanes)
+			s := sim.NewCompiledSession(c, srcs)
+			powers := make([]float64, sim.CompiledMaxLanes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.StepSampled(tb.Weights(), powers)
 			}
-			b.ReportMetric(float64(b.N*sim.MaxLanes)/b.Elapsed().Seconds(), "cycles/sec")
+			b.ReportMetric(float64(b.N*sim.CompiledMaxLanes)/b.Elapsed().Seconds(), "cycles/sec")
 		})
 	}
 }
@@ -481,7 +460,7 @@ func BenchmarkStateSampling(b *testing.B) {
 // BenchmarkCompiledObsOverhead measures the compiled s1494 duty cycle
 // (3 hidden + 1 sampled step, 64 lanes) with the observability sink
 // disabled — a nil atomic pointer, one branch per register-file pass —
-// and enabled with live registry counters. The compiled-bench CI job
+// and enabled with live registry counters. The engine-bench CI job
 // gates the enabled/disabled ratio at 1% so instrumentation can never
 // creep onto the simulation critical path.
 func BenchmarkCompiledObsOverhead(b *testing.B) {
@@ -494,18 +473,18 @@ func BenchmarkCompiledObsOverhead(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			sim.RegisterCompiledMetrics(mode.reg)
 			defer sim.RegisterCompiledMetrics(nil)
-			srcs := make([]vectors.Source, sim.MaxLanes)
+			srcs := make([]vectors.Source, sim.WordLanes)
 			for k := range srcs {
 				srcs[k] = vectors.NewIID(len(c.Inputs), 0.5, int64(k+1))
 			}
 			s := sim.NewCompiledSession(c, srcs)
-			powers := make([]float64, sim.MaxLanes)
+			powers := make([]float64, sim.WordLanes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.StepHiddenN(3)
 				s.StepSampled(tb.Weights(), powers)
 			}
-			b.ReportMetric(float64(b.N*sim.MaxLanes*4)/b.Elapsed().Seconds(), "cycles/sec")
+			b.ReportMetric(float64(b.N*sim.WordLanes*4)/b.Elapsed().Seconds(), "cycles/sec")
 		})
 	}
 }
@@ -524,7 +503,7 @@ func BenchmarkBreakdownOverhead(b *testing.B) {
 		counting bool
 	}{{"disabled", false}, {"enabled", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			srcs := make([]vectors.Source, sim.MaxLanes)
+			srcs := make([]vectors.Source, sim.WordLanes)
 			for k := range srcs {
 				srcs[k] = vectors.NewIID(len(c.Inputs), 0.5, int64(k+1))
 			}
@@ -532,13 +511,13 @@ func BenchmarkBreakdownOverhead(b *testing.B) {
 			if mode.counting {
 				s.AccumulateToggles(make([]uint64, c.NumNodes()))
 			}
-			powers := make([]float64, sim.MaxLanes)
+			powers := make([]float64, sim.WordLanes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.StepHiddenN(3)
 				s.StepSampled(tb.Weights(), powers)
 			}
-			b.ReportMetric(float64(b.N*sim.MaxLanes*4)/b.Elapsed().Seconds(), "cycles/sec")
+			b.ReportMetric(float64(b.N*sim.WordLanes*4)/b.Elapsed().Seconds(), "cycles/sec")
 		})
 	}
 }

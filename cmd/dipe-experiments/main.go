@@ -7,8 +7,7 @@
 //	dipe-experiments -fig3                         # Figure 3 (s1494, L=10000)
 //	dipe-experiments -ablation stopping            # criterion comparison
 //	dipe-experiments -modes                        # general- vs zero-delay power modes
-//	dipe-experiments -sampled -sampled-json BENCH_2.json   # sampled-phase throughput
-//	dipe-experiments -compiled -compiled-json BENCH_6.json # compiled-vs-packed duty cycle
+//	dipe-experiments -engine -engine-json BENCH_1.json     # compiled lane engine vs scalar
 //	dipe-experiments -large -large-json BENCH_7.json       # cache blocking at s38417+ scale
 //	dipe-experiments -table1 -circuits s27,s298    # subset
 //	dipe-experiments -all -small                   # everything, small circuits
@@ -55,16 +54,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		parallel = fs.Int("parallel", 0, "concurrent estimation runs in Table 2 (0 = serial)")
 		reps     = fs.Int("replications", 0, "Table 1: bit-parallel replications (0 = serial estimator)")
 		workers  = fs.Int("workers", 0, "goroutine pool for -replications (0 = GOMAXPROCS)")
-		packed   = fs.Bool("packed", false, "run the packed-vs-scalar hidden-cycle throughput benchmark")
-		packedN  = fs.Int("packed-cycles", 200_000, "scalar cycle budget for -packed")
-		packedJS = fs.String("packed-json", "", "write the -packed report as JSON to this file")
-		sampled  = fs.Bool("sampled", false, "run the sampled-cycle throughput benchmark (event-driven vs packed zero-delay)")
-		sampledN = fs.Int("sampled-cycles", 2_000, "scalar sampled-cycle budget for -sampled")
-		sampledJ = fs.String("sampled-json", "", "write the -sampled report as JSON to this file (BENCH_2.json)")
-		compiled = fs.Bool("compiled", false, "run the compiled-vs-packed estimation duty-cycle benchmark")
-		compSw   = fs.Int("compiled-sweeps", 8, "timed duty-cycle sweeps per circuit for -compiled")
-		compLn   = fs.Int("compiled-lanes", 512, "compiled session width for -compiled")
-		compJ    = fs.String("compiled-json", "", "write the -compiled report as JSON to this file (BENCH_6.json)")
+		engine   = fs.Bool("engine", false, "run the compiled-vs-scalar throughput benchmark (hidden, sampled and duty cycles)")
+		engSw    = fs.Int("engine-sweeps", 8, "timed duty-cycle sweeps per circuit for -engine")
+		engLn    = fs.Int("engine-lanes", 512, "compiled session width for -engine")
+		engJ     = fs.String("engine-json", "", "write the -engine report as JSON to this file (BENCH_1.json)")
 		largeB   = fs.Bool("large", false, "run the large-circuit cache-blocking benchmark (unblocked vs blocked vs level-parallel)")
 		largeSw  = fs.Int("large-sweeps", 3, "timed duty-cycle sweeps per configuration for -large")
 		largeGt  = fs.Int("large-gates", 100_000, "synthetic scaled-circuit gate count for -large (0 = named circuits only)")
@@ -113,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cfg.Circuits = bench89.SmallNames(700)
 	}
 
-	if !*table1 && !*table2 && !*fig3 && *ablation == "" && !*all && !*packed && !*sampled && !*compiled && !*largeB && !*modes && !*clusterB && !*vrB && !*hetB {
+	if !*table1 && !*table2 && !*fig3 && *ablation == "" && !*all && !*engine && !*largeB && !*modes && !*clusterB && !*vrB && !*hetB {
 		fs.Usage()
 		return fmt.Errorf("no campaign selected")
 	}
@@ -186,45 +179,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	if *packed {
-		set := cfg.Circuits
-		if *circuits == "" && !*small {
-			// Default to the regression trio unless the user chose a set.
-			set = []string{"s298", "s832", "s1494"}
-		}
-		rows, err := experiments.PackedThroughput(set, *packedN, 64, cfg.BaseSeed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, experiments.RenderPackedBench(rows))
-		if *packedJS != "" {
-			if err := os.WriteFile(*packedJS, []byte(experiments.PackedBenchJSON(rows)), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", *packedJS)
-		}
-	}
-
-	if *sampled {
-		set := cfg.Circuits
-		if *circuits == "" && !*small {
-			// Default to the regression trio unless the user chose a set.
-			set = []string{"s298", "s832", "s1494"}
-		}
-		rows, err := experiments.SampledThroughput(set, *sampledN, 64, cfg.BaseSeed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, experiments.RenderSampledBench(rows))
-		if *sampledJ != "" {
-			if err := os.WriteFile(*sampledJ, []byte(experiments.SampledBenchJSON(rows)), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", *sampledJ)
-		}
-	}
-
-	if *compiled {
+	if *engine {
 		set := cfg.Circuits
 		if *circuits == "" && !*small {
 			// Default to the regression trio unless the user chose a set.
@@ -233,16 +188,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// Warmup 512 + one 32-sample stopping round at interval 8 is the
 		// estimator's per-replication cycle mix (DefaultOptions
 		// WarmupCycles and CheckEvery, a mid-range stationarity interval).
-		rows, err := experiments.CompiledThroughput(set, 512, 32, 8, *compSw, *compLn, cfg.BaseSeed)
+		rows, err := experiments.EngineThroughput(set, 512, 32, 8, *engSw, *engLn, cfg.BaseSeed)
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(stdout, experiments.RenderCompiledBench(rows))
-		if *compJ != "" {
-			if err := os.WriteFile(*compJ, []byte(experiments.CompiledBenchJSON(rows)), 0o644); err != nil {
+		fmt.Fprint(stdout, experiments.RenderEngineBench(rows))
+		if *engJ != "" {
+			if err := os.WriteFile(*engJ, []byte(experiments.EngineBenchJSON(rows)), 0o644); err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "wrote %s\n", *compJ)
+			fmt.Fprintf(stdout, "wrote %s\n", *engJ)
 		}
 	}
 

@@ -68,10 +68,10 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunSampledSmoke(t *testing.T) {
-	out := smoke(t, "-sampled", "-circuits", "s27", "-sampled-cycles", "100")
-	if !strings.Contains(out, "s27") || !strings.Contains(out, "speedup") {
-		t.Fatalf("sampled bench output missing content:\n%s", out)
+func TestRunEngineSmoke(t *testing.T) {
+	out := smoke(t, "-engine", "-circuits", "s27", "-engine-sweeps", "1", "-engine-lanes", "64")
+	if !strings.Contains(out, "s27") || !strings.Contains(out, "duty.x") {
+		t.Fatalf("engine bench output missing content:\n%s", out)
 	}
 }
 

@@ -17,7 +17,6 @@ type runArgs struct {
 	criterion, test      string
 	powerMode            string
 	variance             string
-	backend              string
 	inputProb, inputRho  float64
 	seed                 int64
 	fixed, reps, workers int
@@ -45,7 +44,7 @@ func defaults() runArgs {
 
 func (a runArgs) run() error {
 	return run(a.circuit, a.bench, a.blif, a.alpha, a.seqLen, a.relErr, a.confidence,
-		a.criterion, a.test, a.powerMode, a.variance, a.backend, a.inputProb, a.inputRho, a.seed, a.fixed, a.reps, a.workers,
+		a.criterion, a.test, a.powerMode, a.variance, a.inputProb, a.inputRho, a.seed, a.fixed, a.reps, a.workers,
 		a.sessWorkers, a.cacheBudget, a.breakdown, a.brkTop, a.ztrace, a.ztraceLen, a.refCycles, a.verbose, a.topN, a.maxBudget, a.vcdPath, a.vcdCycles, a.progJSON)
 }
 
@@ -224,19 +223,28 @@ func TestRunErrors(t *testing.T) {
 func TestRunCompiledBackend(t *testing.T) {
 	a := defaults()
 	a.circuit = "s27"
-	a.backend = "compiled"
+	// Replications take the compiled lane sessions, general-delay
+	// (word-level waveform observation) and zero-delay (row diffs).
+	a.reps = 8
 	if err := a.run(); err != nil {
 		t.Fatal(err)
 	}
-	// Replications + zero-delay take the compiled word-parallel path.
-	a.reps = 8
 	a.powerMode = "zero-delay"
 	if err := a.run(); err != nil {
 		t.Fatal(err)
 	}
-	a.backend = "bogus"
-	if err := a.run(); err == nil {
-		t.Fatal("bogus backend accepted")
+}
+
+// TestRunRejectsUnfittableReplications: a replication count whose first
+// round cannot fit the sample budget is an error (a non-zero exit), not
+// an instant unconverged "sample cap reached" run.
+func TestRunRejectsUnfittableReplications(t *testing.T) {
+	a := defaults()
+	a.circuit = "s27"
+	a.reps = 200_000_000
+	err := a.run()
+	if err == nil || !strings.Contains(err.Error(), "Replications") {
+		t.Fatalf("run = %v, want a Replications budget error", err)
 	}
 }
 

@@ -32,8 +32,9 @@
 //
 //   - internal/netlist, internal/logic — circuit substrate: gate-level
 //     representation, .bench/BLIF I/O, frozen CSR view
-//   - internal/sim — Section IV's two-phase simulation: zero-delay,
-//     packed 64-lane, and event-driven general-delay simulators
+//   - internal/sim — Section IV's two-phase simulation: zero-delay and
+//     event-driven general-delay simulators, and the compiled
+//     lane-parallel session that runs both up to 512 replications wide
 //   - internal/power, internal/delay — the power model of Eq. 1 and the
 //     timing models feeding it
 //   - internal/randtest — Section III.A randomness tests (Eqs. 4–7)

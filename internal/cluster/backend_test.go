@@ -9,11 +9,11 @@ import (
 	"repro/internal/sim"
 )
 
-// TestClusterCompiledBackendGolden: the golden cross-backend guarantee
-// over the wire — a cluster job on the compiled backend, with one and
-// with two workers, reproduces the single-process *packed* reference
-// bit for bit. Backend selection travels in the run request, is
-// reported in the result, and cannot move the estimate.
+// TestClusterCompiledBackendGolden: the golden guarantee over the wire
+// — a cluster job, with one and with two workers, reproduces the
+// single-process reference bit for bit, and a request still spelling
+// the deprecated "packed" backend runs the same compiled lane engine
+// and reports its labels.
 func TestClusterCompiledBackendGolden(t *testing.T) {
 	w1, w2 := NewWorker(WorkerConfig{}), NewWorker(WorkerConfig{})
 	s1 := httptest.NewServer(w1.Handler())
@@ -23,15 +23,17 @@ func TestClusterCompiledBackendGolden(t *testing.T) {
 
 	reg := service.NewRegistry(0)
 
-	packedReq := service.JobRequest{
+	req := service.JobRequest{
 		Circuit: "s298", Seed: 404,
 		Options: service.OptionsSpec{Replications: 96, Workers: 2, PowerMode: "zero-delay"},
 	}
-	want := reference(t, reg, packedReq)
-	compiledReq := packedReq
-	compiledReq.Options.Backend = string(sim.BackendCompiled)
+	want := reference(t, reg, req)
+	packedReq := service.JobRequest{
+		Circuit: "s298", Seed: 404,
+		Options: service.OptionsSpec{Replications: 96, Workers: 2, PowerMode: "zero-delay", Backend: "packed"},
+	}
 
-	tb, err := reg.Testbench(compiledReq.Circuit)
+	tb, err := reg.Testbench(req.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,19 +46,13 @@ func TestClusterCompiledBackendGolden(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			coord := newTestCoordinator(t, reg, tc.urls...)
-			got, err := coord.Estimate(context.Background(), tb, compiledReq, nil)
+			got, err := coord.Estimate(context.Background(), tb, packedReq, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Engine != sim.EngineCompiledZeroDelay {
-				t.Errorf("engine %q, want %q", got.Engine, sim.EngineCompiledZeroDelay)
+			if got.Engine != sim.EngineCompiledZeroDelay || want.Engine != sim.EngineCompiledZeroDelay {
+				t.Errorf("engines (%q, %q), want %q", got.Engine, want.Engine, sim.EngineCompiledZeroDelay)
 			}
-			if got.Backend != string(sim.BackendCompiled) {
-				t.Errorf("backend %q, want %q", got.Backend, sim.BackendCompiled)
-			}
-			// Everything but the engine/backend labels must equal the
-			// packed single-process run.
-			got.Engine, got.Backend = want.Engine, want.Backend
 			sameResult(t, got, want, tc.name)
 			if !got.Converged {
 				t.Fatal("cluster run did not converge")
@@ -65,8 +61,10 @@ func TestClusterCompiledBackendGolden(t *testing.T) {
 	}
 }
 
-// TestRunRequestBackendValidation: unknown backends are rejected at the
-// protocol boundary, before any simulation starts.
+// TestRunRequestBackendValidation: the deprecated backend field still
+// decodes — "", "compiled" and "packed" all run the one engine — and
+// unknown backends are rejected at the protocol boundary, before any
+// simulation starts.
 func TestRunRequestBackendValidation(t *testing.T) {
 	req := RunRequest{
 		Hash: "abc", Interval: 1, RepHi: 4, Rounds: 1,
@@ -75,8 +73,10 @@ func TestRunRequestBackendValidation(t *testing.T) {
 	if err := req.Validate(); err == nil {
 		t.Fatal("bad backend accepted")
 	}
-	req.Backend = "compiled"
-	if err := req.Validate(); err != nil {
-		t.Fatalf("compiled backend rejected: %v", err)
+	for _, b := range []string{"", "compiled", "packed"} {
+		req.Backend = b
+		if err := req.Validate(); err != nil {
+			t.Fatalf("backend %q rejected: %v", b, err)
+		}
 	}
 }

@@ -515,7 +515,7 @@ func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req 
 	// fast workers a tail of leases to steal from slow ones. The range
 	// *boundaries* come from core.SplitRangeAligned — the one partition
 	// rule shared with the in-process shard layout, rounded to the
-	// backend's session width so leases pack whole compiled word rows —
+	// compiled session width so leases pack whole word rows —
 	// and the merge order is unchanged, so neither the range count nor
 	// the alignment shows in the merged result. Jobs too small for
 	// full-width leases halve the alignment until every lease keeps at
@@ -524,7 +524,7 @@ func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req 
 	if k > reps {
 		k = reps
 	}
-	align := sim.MaxLanesFor(opts.Backend)
+	align := sim.CompiledMaxLanes
 	for align > 1 && reps < k*align {
 		align >>= 1
 	}
@@ -630,7 +630,6 @@ func (c *Coordinator) streamBlocks(ctx context.Context, l *blockLease, worker, h
 		Source:       req.Source,
 		Seed:         req.Seed,
 		Mode:         string(opts.Mode),
-		Backend:      string(opts.Backend),
 		VR:           plan,
 		Warmup:       opts.WarmupCycles,
 		Interval:     interval,

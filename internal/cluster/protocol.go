@@ -6,7 +6,6 @@ import (
 	"net/http"
 
 	"repro/internal/service"
-	"repro/internal/sim"
 	"repro/internal/vr"
 )
 
@@ -25,10 +24,11 @@ type RunRequest struct {
 	Seed int64 `json:"seed"`
 	// Mode is the power-observation mode ("" = general-delay).
 	Mode string `json:"mode,omitempty"`
-	// Backend is the lane-parallel simulation backend ("" = packed).
-	// The backends are observation-equivalent, so a mixed cluster still
-	// merges bit-identical samples; the field exists so operators can
-	// pick throughput per job.
+	// Backend is deprecated: every worker runs the one compiled lane
+	// engine and the coordinator no longer sends it. It is still decoded
+	// (requests are decoded strictly) so an older coordinator keeps
+	// working: "", "compiled" and "packed" change nothing, anything else
+	// is rejected (see service.CheckBackend).
 	Backend string `json:"backend,omitempty"`
 	// VR is the resolved variance-reduction plan (zero value = plain
 	// estimation). The coordinator freezes it — including the
@@ -93,7 +93,7 @@ func (r RunRequest) Validate() error {
 	case r.BudgetRounds < 0:
 		return fmt.Errorf("cluster: negative budgetRounds %d", r.BudgetRounds)
 	}
-	if err := sim.Backend(r.Backend).Validate(); err != nil {
+	if err := service.CheckBackend(r.Backend); err != nil {
 		return err
 	}
 	return r.VR.Validate()

@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/service"
-	"repro/internal/sim"
 )
 
 // DefaultCircuitCap bounds the worker's installed-circuit table.
@@ -241,7 +240,6 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	opts := core.DefaultOptions()
 	opts.WarmupCycles = req.Warmup
 	opts.Mode = mode
-	opts.Backend = sim.Backend(req.Backend)
 	opts.Workers = req.Workers
 	opts.Breakdown = req.Breakdown
 	// Errors terminate the stream; the client distinguishes a complete

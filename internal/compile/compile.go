@@ -242,7 +242,7 @@ func (p *Program) emit(dst int32, base logic.Kind, inv bool, ops []int32) {
 // per node (row i == node i), every varying gate emitted in
 // level-contiguous order, constant cones hoisted into init rows,
 // identity operands elided with the gate's polarity adjusted. Node
-// values after Exec are bit-identical to the interpreted sweep's.
+// values after Exec are bit-identical to the scalar levelized settle's.
 func compileFull(r *netlist.CSR, cv []constVal, ord []int32) *Program {
 	p := &Program{
 		Slots: r.NumNodes(),

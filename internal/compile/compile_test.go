@@ -27,14 +27,48 @@ func randomSignature(seed uint32) bench89.Signature {
 	}
 }
 
+// scalarSettle is the reference the programs are checked against: the
+// scalar levelized settle run once per lane of the 64-lane words pins
+// and q, its node values and latch D values packed back into ref and
+// refD.
+func scalarSettle(zd *sim.ZeroDelay, ref, refD, pins, q []uint64) {
+	vals := make([]bool, len(ref))
+	sp := make([]bool, len(pins))
+	sq := make([]bool, len(q))
+	nextQ := make([]bool, len(refD))
+	clear(ref)
+	clear(refD)
+	for k := 0; k < 64; k++ {
+		bit := uint64(1) << uint(k)
+		for i, v := range pins {
+			sp[i] = v&bit != 0
+		}
+		for i, v := range q {
+			sq[i] = v&bit != 0
+		}
+		zd.Settle(vals, sp, sq)
+		zd.NextState(vals, nextQ)
+		for i, v := range vals {
+			if v {
+				ref[i] |= bit
+			}
+		}
+		for i, v := range nextQ {
+			if v {
+				refD[i] |= bit
+			}
+		}
+	}
+}
+
 // checkUnitExact compares both programs of a compiled Unit against the
-// interpreted packed settle over `trials` random packed states at word
+// scalar levelized settle over `trials` random 64-lane states at word
 // width w: Full must reproduce every node word, Step every latch D
 // word.
 func checkUnitExact(t *testing.T, c *netlist.Circuit, w, trials int, seed int64) {
 	t.Helper()
 	u := compile.Compile(c)
-	pz := sim.NewPackedZeroDelay(c)
+	zd := sim.NewZeroDelay(c)
 	n := c.NumNodes()
 	ref := make([]uint64, n)
 	pins := make([]uint64, len(c.Inputs))
@@ -49,7 +83,7 @@ func checkUnitExact(t *testing.T, c *netlist.Circuit, w, trials int, seed int64)
 		for i, r := range rows {
 			for j := 0; j < w; j++ {
 				// Replicate the 64-lane word into every lane word; lane
-				// identity makes per-word comparison against the packed
+				// identity makes per-word comparison against the 64-lane
 				// reference valid at any width.
 				file[int(r)*w+j] = src[i]
 			}
@@ -64,8 +98,7 @@ func checkUnitExact(t *testing.T, c *netlist.Circuit, w, trials int, seed int64)
 		for i := range q {
 			q[i] = rng.Uint64()
 		}
-		pz.Settle(ref, pins, q)
-		pz.NextState(ref, refD)
+		scalarSettle(zd, ref, refD, pins, q)
 
 		wide(full, u.Full.In, pins)
 		wide(full, u.Full.Q, q)
@@ -73,7 +106,7 @@ func checkUnitExact(t *testing.T, c *netlist.Circuit, w, trials int, seed int64)
 		for i := 0; i < n; i++ {
 			for j := 0; j < w; j++ {
 				if full[i*w+j] != ref[i] {
-					t.Fatalf("trial %d: Full node %s word %d = %#x, interpreter %#x",
+					t.Fatalf("trial %d: Full node %s word %d = %#x, scalar %#x",
 						trial, c.Nodes[i].Name, j, full[i*w+j], ref[i])
 				}
 			}
@@ -81,7 +114,7 @@ func checkUnitExact(t *testing.T, c *netlist.Circuit, w, trials int, seed int64)
 		for i, d := range u.Full.D {
 			for j := 0; j < w; j++ {
 				if full[int(d)*w+j] != refD[i] {
-					t.Fatalf("trial %d: Full D[%d] = %#x, interpreter %#x", trial, i, full[int(d)*w+j], refD[i])
+					t.Fatalf("trial %d: Full D[%d] = %#x, scalar %#x", trial, i, full[int(d)*w+j], refD[i])
 				}
 			}
 		}
@@ -92,7 +125,7 @@ func checkUnitExact(t *testing.T, c *netlist.Circuit, w, trials int, seed int64)
 		for i, d := range u.Step.D {
 			for j := 0; j < w; j++ {
 				if step[int(d)*w+j] != refD[i] {
-					t.Fatalf("trial %d: Step D[%d] word %d = %#x, interpreter %#x",
+					t.Fatalf("trial %d: Step D[%d] word %d = %#x, scalar %#x",
 						trial, i, j, step[int(d)*w+j], refD[i])
 				}
 			}
@@ -100,7 +133,7 @@ func checkUnitExact(t *testing.T, c *netlist.Circuit, w, trials int, seed int64)
 	}
 }
 
-// TestUnitExactBench89 checks compiled-vs-interpreted exactness on
+// TestUnitExactBench89 checks compiled-vs-scalar exactness on
 // every bench89 circuit at 1- and 4-word widths.
 func TestUnitExactBench89(t *testing.T) {
 	for _, name := range bench89.Names() {

@@ -7,10 +7,10 @@
 // A compilation Unit holds two programs over the same circuit:
 //
 //   - Full computes the settled value of every node (one register slot
-//     per node). It is observation-exact: slot i holds exactly what the
-//     interpreted sweep (sim.PackedZeroDelay.Settle) computes for node
-//     i, so weighted toggle diffs over the register file are
-//     bit-identical to the interpreter's. Its only liberties are ones
+//     per node). It is observation-exact: slot i holds, in every lane,
+//     exactly what the scalar levelized settle (sim.ZeroDelay.Settle)
+//     computes for node i, so weighted toggle diffs over the register
+//     file are bit-identical to the scalar zero-delay engine's. Its only liberties are ones
 //     that cannot change any node value: gates whose value is invariant
 //     (constant cones) are hoisted into init data, and identity
 //     operands (AND with a known-1 input, XOR with a known-0 input, …)
@@ -41,7 +41,7 @@
 // circuit itself (netlist.(*Circuit).SetArtifact), so every
 // sim.CompiledSession over the same circuit shares one Unit.
 //
-// Every pass above must be observation-equivalent to the interpreter;
+// Every pass above must be observation-equivalent to the scalar settle;
 // the differential battery in internal/sim (property tests over all
 // bench89 circuits and randomized netlists, FuzzCompile, and the golden
 // end-to-end tests in internal/core) asserts bit-identical next-state

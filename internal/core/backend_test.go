@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -8,54 +10,89 @@ import (
 	"repro/internal/delay"
 	"repro/internal/power"
 	"repro/internal/sim"
+	"repro/internal/stopping"
 	"repro/internal/vectors"
 	"repro/internal/vr"
 )
 
 // requireGolden fails unless the two results are bit-identical in every
-// estimation-visible field — the backend contract: switching backends
-// may change throughput, never a single bit of the answer.
-func requireGolden(t *testing.T, label string, packed, compiled Result) {
+// estimation-visible field — the lane-layout contract: how replications
+// are packed into lane sessions and spread over workers may change
+// throughput, never a single bit of the answer.
+func requireGolden(t *testing.T, label string, ref, got Result) {
 	t.Helper()
-	if compiled.Power != packed.Power {
-		t.Errorf("%s: power %v != %v", label, compiled.Power, packed.Power)
+	if got.Power != ref.Power {
+		t.Errorf("%s: power %v != %v", label, got.Power, ref.Power)
 	}
-	if compiled.HalfWidth != packed.HalfWidth {
-		t.Errorf("%s: half-width %v != %v", label, compiled.HalfWidth, packed.HalfWidth)
+	if got.HalfWidth != ref.HalfWidth {
+		t.Errorf("%s: half-width %v != %v", label, got.HalfWidth, ref.HalfWidth)
 	}
-	if compiled.SampleSize != packed.SampleSize {
-		t.Errorf("%s: sample size %d != %d", label, compiled.SampleSize, packed.SampleSize)
+	if got.SampleSize != ref.SampleSize {
+		t.Errorf("%s: sample size %d != %d", label, got.SampleSize, ref.SampleSize)
 	}
-	if compiled.Interval != packed.Interval {
-		t.Errorf("%s: interval %d != %d", label, compiled.Interval, packed.Interval)
+	if got.Interval != ref.Interval {
+		t.Errorf("%s: interval %d != %d", label, got.Interval, ref.Interval)
 	}
-	if compiled.HiddenCycles != packed.HiddenCycles || compiled.SampledCycles != packed.SampledCycles {
+	if got.HiddenCycles != ref.HiddenCycles || got.SampledCycles != ref.SampledCycles {
 		t.Errorf("%s: cycles (%d, %d) != (%d, %d)", label,
-			compiled.HiddenCycles, compiled.SampledCycles, packed.HiddenCycles, packed.SampledCycles)
+			got.HiddenCycles, got.SampledCycles, ref.HiddenCycles, ref.SampledCycles)
 	}
-	if compiled.CVBeta != packed.CVBeta {
-		t.Errorf("%s: cv beta %v != %v", label, compiled.CVBeta, packed.CVBeta)
+	if got.CVBeta != ref.CVBeta {
+		t.Errorf("%s: cv beta %v != %v", label, got.CVBeta, ref.CVBeta)
 	}
-	if compiled.Variance != packed.Variance || compiled.Criterion != packed.Criterion {
+	if got.Variance != ref.Variance || got.Criterion != ref.Criterion {
 		t.Errorf("%s: labeling (%q, %q) != (%q, %q)", label,
-			compiled.Variance, compiled.Criterion, packed.Variance, packed.Criterion)
+			got.Variance, got.Criterion, ref.Variance, ref.Criterion)
 	}
-	if compiled.Converged != packed.Converged {
-		t.Errorf("%s: converged %v != %v", label, compiled.Converged, packed.Converged)
+	if got.Engine != ref.Engine || got.DelayModel != ref.DelayModel {
+		t.Errorf("%s: engine (%q, %q) != (%q, %q)", label,
+			got.Engine, got.DelayModel, ref.Engine, ref.DelayModel)
 	}
-	if !packed.Converged {
+	if got.Converged != ref.Converged {
+		t.Errorf("%s: converged %v != %v", label, got.Converged, ref.Converged)
+	}
+	if !ref.Converged {
 		t.Errorf("%s: reference run did not converge", label)
 	}
 }
 
-// TestCompiledBackendGoldenParallel is the golden end-to-end test: the
-// full EstimateParallel flow on the compiled backend reproduces the
-// interpreted backend's mean, half-width, sample size and cycle split
-// bit-for-bit, across power modes and every variance-reduction
-// transform. Replication counts beyond one machine word force different
-// shard layouts per backend (one 96-lane compiled shard vs two packed
-// words), so the lane→seed contract itself is under test, not just the
-// per-step semantics.
+// goldenResult expands a pinned golden row into the Result fields
+// requireGolden compares (the criterion is the default one).
+func goldenResult(g golden, beta float64) Result {
+	return Result{
+		Power: g.power, Interval: g.interval, SampleSize: g.samples, HalfWidth: g.halfWidth,
+		HiddenCycles: g.hidden, SampledCycles: g.sampled, CVBeta: beta,
+		Engine: g.engine, DelayModel: g.delayName,
+		Criterion: stopping.OrderStatisticsFactory(stopping.DefaultSpec()).Name(),
+		Converged: true,
+	}
+}
+
+// goldenBackend pins the EstimateParallel results of
+// TestCompiledBackendGoldenParallel (s298, seed 33): the values the
+// interpreted 64-lane backend produced, which the compiled sessions
+// reproduced bit for bit before that backend was retired. One field is
+// not the interpreter's: the control-variate run converges on its seeded
+// phase-1 samples, merges no block and so charges no replication
+// warm-up — 320960 - 48×512 hidden cycles.
+var goldenBackend = map[string]struct {
+	g       golden
+	beta    float64
+	variant string
+}{
+	"zero-delay/plain":              {golden{0.00029914257812500004, 2, 1280, 1.3749999999999982e-05, 52544, 1920, sim.EngineCompiledZeroDelay, "zero", 0}, 0, ""},
+	"zero-delay/antithetic":         {golden{0.00029635009765624975, 2, 1024, 1.2656250000000026e-05, 37056, 2368, sim.EngineCompiledZeroDelay, "zero", 0}, 0, "antithetic"},
+	"general-delay/plain":           {golden{0.00036272874999999986, 2, 2000, 1.7500000000000046e-05, 29408, 2640, sim.EngineEventDriven, defaultDelay, 0}, 0, ""},
+	"general-delay/control-variate": {golden{0.00036945326934601793, 2, 320, 1.386113079081532e-05, 320960 - 48*512, 960, sim.EngineEventDriven, defaultDelay, 0}, 1.5175858621575105, "control-variate"},
+}
+
+// TestCompiledBackendGoldenParallel is the golden end-to-end test of the
+// lane engine: the full EstimateParallel flow reproduces the pinned
+// mean, half-width, sample size and cycle split bit-for-bit, across
+// power modes and every variance-reduction transform, under two
+// different shard layouts (two and three workers split the replications
+// into different lane sessions), so the lane→seed contract itself is
+// under test, not just the per-step semantics.
 func TestCompiledBackendGoldenParallel(t *testing.T) {
 	c := bench89.MustGet("s298")
 	tb := DefaultTestbench(c)
@@ -75,32 +112,20 @@ func TestCompiledBackendGoldenParallel(t *testing.T) {
 		tc := tc
 		t.Run(tc.label, func(t *testing.T) {
 			t.Parallel()
+			want := goldenBackend[tc.label]
+			ref := goldenResult(want.g, want.beta)
+			ref.Variance = want.variant
 			opts := DefaultOptions()
 			opts.Mode = tc.mode
 			opts.Variance.Mode = tc.variance
 			opts.Replications = tc.reps
-			opts.Workers = 2
-			opts.Backend = sim.BackendPacked
-			packed, err := EstimateParallel(tb, factory, 33, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts.Backend = sim.BackendCompiled
-			opts.Workers = 3 // a different pool must not matter either
-			compiled, err := EstimateParallel(tb, factory, 33, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireGolden(t, tc.label, packed, compiled)
-			if packed.Backend != string(sim.BackendPacked) || compiled.Backend != string(sim.BackendCompiled) {
-				t.Errorf("backends recorded as (%q, %q)", packed.Backend, compiled.Backend)
-			}
-			wantEngine := sim.EngineEventDriven
-			if tc.mode.IsZeroDelay() {
-				wantEngine = sim.EngineCompiledZeroDelay
-			}
-			if compiled.Engine != wantEngine {
-				t.Errorf("compiled engine %q, want %q", compiled.Engine, wantEngine)
+			for _, workers := range []int{2, 3} {
+				opts.Workers = workers
+				got, err := EstimateParallel(tb, factory, 33, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireGolden(t, fmt.Sprintf("%s/workers%d", tc.label, workers), ref, got)
 			}
 		})
 	}
@@ -109,48 +134,33 @@ func TestCompiledBackendGoldenParallel(t *testing.T) {
 // TestCompiledBackendAllZeroUpgradeEngine pins the all-zero-delay
 // upgrade path: a general-delay run over a zero delay table is silently
 // upgraded to word-parallel sampling, and Result.Engine must name the
-// backend that actually observed it — the compiled zero-delay engine
-// under the compiled backend, not the packed interpreter.
+// engine that actually observed it — the compiled zero-delay engine —
+// with the pinned estimate.
 func TestCompiledBackendAllZeroUpgradeEngine(t *testing.T) {
 	c := bench89.MustGet("s27")
 	tb := NewTestbench(c, delay.Zero{}, power.DefaultCapModel(), power.DefaultSupply())
 	factory := vectors.IIDFactory(len(c.Inputs), 0.5)
 	opts := DefaultOptions()
 	opts.Replications = 16
-	opts.Backend = sim.BackendPacked
-	packed, err := EstimateParallel(tb, factory, 5, opts)
+	got, err := EstimateParallel(tb, factory, 5, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Backend = sim.BackendCompiled
-	compiled, err := EstimateParallel(tb, factory, 5, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireGolden(t, "all-zero upgrade", packed, compiled)
-	if packed.Engine != sim.EnginePackedZeroDelay {
-		t.Errorf("packed engine %q, want %q", packed.Engine, sim.EnginePackedZeroDelay)
-	}
-	if compiled.Engine != sim.EngineCompiledZeroDelay {
-		t.Errorf("compiled engine %q, want %q", compiled.Engine, sim.EngineCompiledZeroDelay)
-	}
-	if packed.DelayModel != compiled.DelayModel {
-		t.Errorf("delay models %q != %q", compiled.DelayModel, packed.DelayModel)
-	}
+	want := golden{4.1892510775862074e-05, 2, 1856, 1.8750000000000083e-06, 12736, 2496, sim.EngineCompiledZeroDelay, "zero", 0}
+	requireGolden(t, "all-zero upgrade", goldenResult(want, 0), got)
 }
 
 // TestCompiledBackendGoldenStreamed checks the streamed (cluster
-// worker) path: StreamReplications blocks under the compiled backend
-// are bit-identical to the interpreted ones, shard layout differences
-// and all.
+// worker) path: StreamReplications blocks are bit-identical across
+// shard layouts (one 96-lane session vs two 48-lane ones) and match the
+// pinned sample stream.
 func TestCompiledBackendGoldenStreamed(t *testing.T) {
 	c := bench89.MustGet("s298")
 	tb := DefaultTestbench(c)
 	factory := vectors.IIDFactory(len(c.Inputs), 0.5)
-	collect := func(backend sim.Backend, workers int) [][]float64 {
+	collect := func(workers int) [][]float64 {
 		opts := DefaultOptions()
 		opts.Mode = power.ModeZeroDelay
-		opts.Backend = backend
 		opts.Workers = workers
 		var blocks [][]float64
 		err := StreamReplications(t.Context(), tb, factory, 21, opts, vr.Plan{},
@@ -165,20 +175,31 @@ func TestCompiledBackendGoldenStreamed(t *testing.T) {
 		}
 		return blocks
 	}
-	ref := collect(sim.BackendPacked, 2)
-	got := collect(sim.BackendCompiled, 1)
+	ref := collect(2)
+	got := collect(1)
 	if len(ref) != len(got) {
 		t.Fatalf("block counts %d != %d", len(got), len(ref))
 	}
+	// FNV-1a over the samples' bits, in stream order.
+	var n int
+	var sum float64
+	var h uint64 = 14695981039346656037
 	for i := range ref {
 		if len(ref[i]) != len(got[i]) {
 			t.Fatalf("block %d: lengths %d != %d", i, len(got[i]), len(ref[i]))
 		}
 		for j := range ref[i] {
 			if ref[i][j] != got[i][j] {
-				t.Fatalf("block %d sample %d: compiled %v, packed %v", i, j, got[i][j], ref[i][j])
+				t.Fatalf("block %d sample %d: one shard %v, two shards %v", i, j, got[i][j], ref[i][j])
 			}
+			n++
+			sum += ref[i][j]
+			h ^= math.Float64bits(ref[i][j])
+			h *= 1099511628211
 		}
+	}
+	if n != 1152 || sum != 0.34741500000000025 || h != 0x29f88c4da71a15c6 {
+		t.Errorf("stream (n=%d, sum=%v, fnv=%x), want (1152, 0.34741500000000025, 29f88c4da71a15c6)", n, sum, h)
 	}
 }
 

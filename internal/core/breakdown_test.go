@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bench89"
 	"repro/internal/power"
-	"repro/internal/sim"
 	"repro/internal/vectors"
 )
 
@@ -57,7 +56,8 @@ func TestBreakdownSumsToEstimate(t *testing.T) {
 
 // TestBreakdownDeterministic: toggle counts are integer sums, so the
 // report must be identical — toggles exactly, watts bit-for-bit —
-// across worker counts and across the packed and compiled backends.
+// across worker counts, which pack the replications into different lane
+// sessions.
 func TestBreakdownDeterministic(t *testing.T) {
 	c := bench89.MustGet("s298")
 	tb := DefaultTestbench(c)
@@ -66,28 +66,25 @@ func TestBreakdownDeterministic(t *testing.T) {
 	opts.Replications = 24
 	opts.Breakdown = true
 	var ref *power.BreakdownReport
-	for _, backend := range sim.Backends() {
-		for _, workers := range []int{1, 2, 7} {
-			opts.Backend = backend
-			opts.Workers = workers
-			res, err := EstimateParallel(tb, factory, 11, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = res.Breakdown
-				continue
-			}
-			got := res.Breakdown
-			if got.Observations != ref.Observations || got.Dynamic != ref.Dynamic ||
-				got.Leakage != ref.Leakage || len(got.Rows) != len(ref.Rows) {
-				t.Fatalf("%s workers=%d: report header differs", backend, workers)
-			}
-			for i := range got.Rows {
-				if got.Rows[i] != ref.Rows[i] {
-					t.Fatalf("%s workers=%d: row %d = %+v, want %+v",
-						backend, workers, i, got.Rows[i], ref.Rows[i])
-				}
+	for _, workers := range []int{1, 2, 7, 24} {
+		opts.Workers = workers
+		res, err := EstimateParallel(tb, factory, 11, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = res.Breakdown
+			continue
+		}
+		got := res.Breakdown
+		if got.Observations != ref.Observations || got.Dynamic != ref.Dynamic ||
+			got.Leakage != ref.Leakage || len(got.Rows) != len(ref.Rows) {
+			t.Fatalf("workers=%d: report header differs", workers)
+		}
+		for i := range got.Rows {
+			if got.Rows[i] != ref.Rows[i] {
+				t.Fatalf("workers=%d: row %d = %+v, want %+v",
+					workers, i, got.Rows[i], ref.Rows[i])
 			}
 		}
 	}

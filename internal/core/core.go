@@ -43,21 +43,26 @@ type Options struct {
 	// MaxSamples aborts estimation if convergence is not reached; a
 	// safety net, not a tuning knob.
 	MaxSamples int
-	// WarmupCycles is the number of initial hidden (zero-delay) cycles
-	// before interval selection, letting the state process approach
-	// stationarity from reset. Zero-delay cycles are two to three orders
-	// of magnitude cheaper than sampled ones, so a generous default is
-	// nearly free; estimates on slowly-relaxing circuits are biased by
-	// the reset transient if this is too small.
+	// WarmupCycles is the number of hidden (zero-delay) cycles every
+	// sequence runs from reset before it is observed, letting the state
+	// process approach stationarity: the phase-1 selection lane warms up
+	// before interval selection, and every replication lane warms up
+	// before its first sampled cycle. A hidden cycle is much cheaper than
+	// a sampled one, but warm-up runs once per replication, so at the
+	// default 512 cycles it is most of a job's hidden cycles (262,656 of
+	// 270,784 on s1494 with 512 replications). Estimates on
+	// slowly-relaxing circuits are biased by the reset transient if this
+	// is too small.
 	WarmupCycles int
 	// ReuseTestSamples feeds the accepted randomness-test sequence into
 	// the stopping criterion as its first SeqLen samples. Table 1's
 	// sample sizes (all = 320 + k*32) indicate the paper does this.
 	ReuseTestSamples bool
 	// Replications is the number of independent replications
-	// EstimateParallel runs concurrently, packed into lane-parallel
-	// sessions (up to 64 lanes per packed session, 512 per compiled
-	// one). 0 means sim.MaxLanes (64); see ReplicationCount. Ignored by
+	// EstimateParallel runs concurrently, packed into compiled lane
+	// sessions of up to sim.CompiledMaxLanes lanes. 0 means sim.WordLanes
+	// (64); see ReplicationCount. One round — a sample from every
+	// replication — must fit the sample budget (see Validate). Ignored by
 	// the serial estimators.
 	Replications int
 	// Workers bounds the goroutine pool of EstimateParallel. 0 means
@@ -73,23 +78,14 @@ type Options struct {
 	// (EstimateParallel and friends); the session-based estimators follow
 	// the engine of the session they are handed (Testbench.NewSessionMode).
 	Mode power.PowerMode
-	// Backend selects the lane-parallel simulation backend of the
-	// parallel estimators: the compiled word-level engine
-	// (sim.BackendCompiled, the zero-value default), which compiles the
-	// circuit once at first use and replays it, or the interpreted
-	// packed sweep (sim.BackendPacked). The backends are
-	// observation-equivalent — per-lane samples are bit-identical — so
-	// this switch changes throughput, never results. Ignored by the
-	// serial estimators (they are scalar).
-	Backend sim.Backend
 	// SessionWorkers > 1 runs each compiled session's per-level
 	// instruction waves across this many goroutines, so one big-circuit
 	// replication block can use several cores on top of the
 	// replication-level pool. Result-invariant (deterministic
-	// segment→worker mapping, disjoint writes per wave); ignored by the
-	// packed backend. 0 or 1 keeps sessions single-threaded.
+	// segment→worker mapping, disjoint writes per wave). 0 or 1 keeps
+	// sessions single-threaded.
 	SessionWorkers int
-	// CacheBudget bounds the compiled backend's cache-blocked execution
+	// CacheBudget bounds the compiled sessions' cache-blocked execution
 	// scratch working set in bytes. 0 selects the default
 	// (compile.DefaultBudgetBytes, ~L2/2); negative disables blocking.
 	// Result-invariant; sessions whose register files already fit run
@@ -106,8 +102,8 @@ type Options struct {
 	// accumulates per-node transition counts alongside the power samples
 	// and the Result carries a ranked dynamic+leakage report
 	// (power.BreakdownReport). Counts are integers merged by addition, so
-	// the report is bit-identical across backends, worker counts and any
-	// partition of the replication space. Honoured by the parallel
+	// the report is bit-identical across lane widths, worker counts and
+	// any partition of the replication space. Honoured by the parallel
 	// estimators only (the serial ones have no power model in scope);
 	// costs one popcount per node word per sampled cycle when on, nothing
 	// when off.
@@ -203,19 +199,50 @@ func (o Options) Validate() error {
 	if err := o.Mode.Validate(); err != nil {
 		return err
 	}
-	if err := o.Backend.Validate(); err != nil {
+	if err := o.Variance.Validate(o.ReplicationCount(), o.Mode.IsZeroDelay()); err != nil {
 		return err
 	}
-	return o.Variance.Validate(o.ReplicationCount(), o.Mode.IsZeroDelay())
+	// Not even the first round fits after the largest possible phase-1
+	// seed: the run could only stop unconverged before sampling anything.
+	if roundBudget(o.MaxSamples, o.seeded(), o.perRound()) < 1 {
+		return fmt.Errorf("core: Replications %d: one round of %d samples does not fit the sample budget (MaxSamples %d, %d of them seeded by phase 1)",
+			o.ReplicationCount(), o.perRound(), o.MaxSamples, o.seeded())
+	}
+	return nil
 }
 
 // ReplicationCount returns the effective replication count of the
-// parallel estimators: Replications, with 0 meaning sim.MaxLanes.
+// parallel estimators: Replications, with 0 meaning sim.WordLanes (one
+// full word of lanes).
 func (o Options) ReplicationCount() int {
 	if o.Replications == 0 {
-		return sim.MaxLanes
+		return sim.WordLanes
 	}
 	return o.Replications
+}
+
+// perRound returns the number of criterion samples one merged round
+// yields: the replication count, halved under antithetic pairing.
+func (o Options) perRound() int {
+	if o.Variance.Mode.Canonical() == vr.ModeAntithetic {
+		return o.ReplicationCount() / 2
+	}
+	return o.ReplicationCount()
+}
+
+// seeded returns the most samples phase 1 can seed the criterion with:
+// the accepted SeqLen-sample sequence under ReuseTestSamples.
+func (o Options) seeded() int {
+	if o.ReuseTestSamples {
+		return o.SeqLen
+	}
+	return 0
+}
+
+// roundBudget is the sampling phase's budget rule: how many more rounds
+// of perRound criterion samples fit MaxSamples once n samples are in.
+func roundBudget(maxSamples, n, perRound int) int {
+	return (maxSamples - n) / perRound
 }
 
 // WorkerCount returns the goroutine pool size for a range of n

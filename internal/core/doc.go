@@ -16,23 +16,24 @@
 // Interval selection implements Section III (Fig. 2's sequential
 // procedure over the runs test); the sampling/stopping phase implements
 // Section IV. EstimateParallel runs the same flow with many independent
-// replications advanced concurrently on the bit-packed simulator, with
+// replications advanced concurrently on compiled lane sessions, with
 // deterministic seeding and merge order; its phase 1 (PreparePlanCtx)
-// runs on a one-lane compiled or packed session whose samples are
+// runs on a one-lane compiled session whose samples are
 // bit-identical to the scalar sim.Session that SelectInterval, ZTrace,
 // Diagnose and Estimate take — both drive one unexported selection
 // loop, the one-lane session observing each trial's sampled cycles as
-// the stacked lanes of one word-level pass. The Ctx variants add cooperative cancellation (covering
-// interval selection too, via SelectIntervalCtx), and Options.Progress
+// the stacked lanes of one word-level pass. The Ctx variants add
+// cooperative cancellation (covering interval selection too, via
+// SelectIntervalCtx), and Options.Progress
 // streams running snapshots with a guaranteed terminal snapshot — the
 // hooks the dipe-server job manager is built on.
 //
 // Options.Mode selects the power-observation scenario (power.PowerMode):
 // the default general-delay mode observes sampled cycles with
 // event-driven simulation — 64 lanes per machine word on the compiled
-// backend, each lane bit-identical to the scalar simulator — the
-// zero-delay mode with word-parallel packed transition counting, making
-// sampled cycles as cheap as hidden ones.
+// lanes, each lane bit-identical to the scalar simulator — the
+// zero-delay mode with word-parallel transition counting, making
+// sampled cycles about as cheap as hidden ones.
 // Result.Engine and Result.DelayModel record what a run actually used.
 //
 // Options.Variance selects a variance-reduction transform (vr.Spec):

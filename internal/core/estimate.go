@@ -35,14 +35,10 @@ type Result struct {
 	// Criterion names the stopping criterion used.
 	Criterion string
 	// Engine names the power engine that observed the sampled cycles
-	// (sim.EngineEventDriven, sim.EngineZeroDelay,
-	// sim.EnginePackedZeroDelay for the bit-parallel sampled phase, or
-	// sim.EngineCompiledZeroDelay when the compiled backend observed it).
+	// (sim.EngineEventDriven, sim.EngineZeroDelay, or
+	// sim.EngineCompiledZeroDelay when the parallel estimators observed
+	// them word-parallel on their compiled lane sessions).
 	Engine string
-	// Backend names the lane-parallel simulation backend the parallel
-	// estimators ran on ("packed" or "compiled"; empty for the scalar
-	// estimators, which have no lane backend).
-	Backend string
 	// DelayModel names the timing model the engine realized ("zero" for
 	// zero-delay observation).
 	DelayModel string

@@ -54,8 +54,8 @@ type IntervalSelection struct {
 // observed by the run's power engine, optionally with their zero-delay
 // toggle covariate. A scalar *sim.Session is one (sessionSampler: the
 // exported session-based entry points); the parallel estimators drive
-// one lane of a compiled or packed lane session (laneSampler). Both
-// observe bit-identical samples.
+// a one-lane compiled session (laneSampler). Both observe bit-identical
+// samples.
 type sampler interface {
 	Circuit() *netlist.Circuit
 	StepHiddenN(n int)
@@ -82,10 +82,10 @@ func (s sessionSampler) sample(dst, cov []float64, counts []uint64) ([]float64, 
 
 func (s sessionSampler) flush(dst []float64, _ []uint64) []float64 { return dst }
 
-// laneSampler is a one-lane LaneSession behind the sampler interface.
-// Hidden cycles run the backend's hidden step (the compiled Step
-// program). Under zero-delay observation a sampled cycle is the
-// backend's word-level zero-delay step, whose toggle power is both the
+// laneSampler is a one-lane compiled session behind the sampler
+// interface. Hidden cycles run the compiled Step program. Under
+// zero-delay observation a sampled cycle is the session's word-level
+// zero-delay step, whose toggle power is both the
 // sample and the covariate. Under event-driven observation each sampled
 // cycle is recorded (StepSampledRecord, which also yields the covariate)
 // as one lane of a sim.CycleStack, and the recorded cycles are observed
@@ -94,7 +94,7 @@ func (s sessionSampler) flush(dst []float64, _ []uint64) []float64 { return dst 
 // every sample, count and cycle tally equals the scalar route's, with
 // the engine Testbench.NewSessionMode would install.
 type laneSampler struct {
-	ls      sim.LaneSession
+	ls      *sim.CompiledSession
 	weights []float64
 	tog     [1]float64
 	stack   *sim.CycleStack // nil under zero-delay observation
@@ -109,8 +109,8 @@ type laneSampler struct {
 // compiled session.
 func newLaneSampler(tb *Testbench, src vectors.Source, opts Options) *laneSampler {
 	s := &laneSampler{
-		ls: sim.NewLaneSessionConfig(opts.Backend, tb.Circuit, []vectors.Source{src},
-			sim.SessionConfig{CacheBudget: opts.CacheBudget}),
+		ls: sim.NewCompiledSessionConfig(tb.Circuit, []vectors.Source{src},
+			sim.CompiledConfig{CacheBudget: opts.CacheBudget}),
 		weights: tb.Weights(),
 	}
 	if !opts.Mode.IsZeroDelay() {

@@ -31,8 +31,8 @@ import (
 //     cannot diverge from the local estimator.
 //
 // Determinism contract: replication r is always seeded baseSeed+1+r, a
-// replication's sample stream depends only on its own seed (packed
-// lanes are independent), and the merge order is a pure function of
+// replication's sample stream depends only on its own seed (lanes are
+// independent), and the merge order is a pure function of
 // (reps, rounds). Any partition of [0,reps) into contiguous ranges —
 // goroutine shards, worker processes, or a retried reassignment after a
 // worker death — therefore reproduces the single-process estimate
@@ -78,7 +78,7 @@ func NewMerger(opts Options) (*Merger, error) {
 		rounds:     rounds,
 		maxSamples: opts.MaxSamples,
 		pairing:    opts.Variance.Mode.Canonical() == vr.ModeAntithetic,
-		perRound:   reps,
+		perRound:   opts.perRound(),
 		met:        opts.Metrics,
 		start:      time.Now(),
 	}
@@ -86,7 +86,6 @@ func NewMerger(opts Options) (*Merger, error) {
 		m.met.Runs.Inc()
 	}
 	if m.pairing {
-		m.perRound = reps / 2
 		m.round = make([]float64, 0, reps)
 		m.pairs = make([]float64, 0, m.perRound)
 	}
@@ -121,11 +120,7 @@ func (m *Merger) PerRound() int { return m.perRound }
 // below 1 means the budget cannot fund even one more round — the run
 // must stop unconverged, exactly as EstimateParallel does.
 func (m *Merger) NextRounds() int {
-	n := m.rounds
-	if remaining := (m.maxSamples - m.crit.N()) / m.perRound; n > remaining {
-		n = remaining
-	}
-	return n
+	return min(m.rounds, roundBudget(m.maxSamples, m.crit.N(), m.perRound))
 }
 
 // MergeBlock merges n rounds from contiguous replication ranges into
@@ -261,7 +256,7 @@ func NewSamplingPhase(ctx context.Context, tb *Testbench, opts Options, rp Resum
 	p.engine, p.delayModel, _ = sampledEngine(tb, opts, rp.Plan)
 	if opts.Breakdown {
 		p.counts = make([]uint64, tb.Circuit.NumNodes())
-		p.budgetRounds = (opts.MaxSamples - m.N()) / m.PerRound()
+		p.budgetRounds = roundBudget(opts.MaxSamples, m.N(), m.PerRound())
 	}
 	return p, nil
 }
@@ -325,12 +320,18 @@ func (p *SamplingPhase) Merge(samples [][]float64, lanes []int, n int, toggles [
 // and pre-sampling cycles restored. Cycle counters follow the canonical
 // schedule — warm-up, then interval hidden cycles and one sampled cycle
 // per merged round per replication — so they do not depend on how far
-// any stream ran ahead of the merge. Call it once.
+// any stream ran ahead of the merge. A phase that merged no block (the
+// run converged or capped on its phase-1 samples) started no stream, so
+// it charges no replication warm-up either. Call it once.
 func (p *SamplingPhase) Finish() Result {
 	if p.opts.Progress != nil {
 		p.opts.Progress(p.Progress(p.rp.Interval))
 	}
 	reps, merged := uint64(p.Reps()), uint64(p.MergedRounds())
+	var warmup uint64
+	if merged > 0 {
+		warmup = reps * uint64(p.opts.WarmupCycles)
+	}
 	res := Result{
 		Power:          p.Estimate(),
 		Interval:       p.rp.Interval,
@@ -338,11 +339,10 @@ func (p *SamplingPhase) Finish() Result {
 		Trials:         p.rp.Trials,
 		SampleSize:     p.N(),
 		HalfWidth:      p.HalfWidth(),
-		HiddenCycles:   p.rp.Hidden + reps*uint64(p.opts.WarmupCycles) + merged*uint64(p.rp.Interval)*reps,
+		HiddenCycles:   p.rp.Hidden + warmup + merged*uint64(p.rp.Interval)*reps,
 		SampledCycles:  p.rp.Sampled + merged*reps,
 		Criterion:      p.CriterionName(),
 		Engine:         p.engine,
-		Backend:        string(p.opts.Backend.Canonical()),
 		DelayModel:     p.delayModel,
 		Variance:       p.rp.Plan.Label(),
 		CVBeta:         p.rp.Plan.Beta,

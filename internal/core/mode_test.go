@@ -49,7 +49,7 @@ var goldenParallel = map[string]golden{
 	"s832":                          {0.0011188454861111123, 1, 1152, 4.7187499999999812e-05, 34432, 1472, sim.EngineEventDriven, defaultDelay, 0},
 	"s298/zero-delay":               {0.00029118447580645136, 1, 1984, 1.4531250000000031e-05, 35264, 2304, sim.EngineCompiledZeroDelay, "zero", 0},
 	"s298/antithetic":               {0.00036041068412162196, 1, 1184, 1.7031249999999984e-05, 35328, 2368, sim.EngineEventDriven, defaultDelay, 0},
-	"s298/control-variate":          {0.00036443264781648371, 1, 320, 1.2348896207573293e-05, 328512, 640, sim.EngineEventDriven, defaultDelay, 0},
+	"s298/control-variate":          {0.00036443264781648371, 1, 320, 1.2348896207573293e-05, 295744, 640, sim.EngineEventDriven, defaultDelay, 0},
 	"s298/control-variate-unseeded": {0.00036477037304260602, 1, 192, 1.4686594741795961e-05, 328704, 832, sim.EngineEventDriven, defaultDelay, 0},
 	"s298/breakdown":                {0.0003563359375000007, 1, 2560, 1.6640625e-05, 35840, 2880, sim.EngineEventDriven, defaultDelay, 78664},
 	"s298/clipped":                  {0.00034419560185185215, 1, 432, 4.6093750000000019e-05, 9136, 752, sim.EngineEventDriven, defaultDelay, 12817},
@@ -58,7 +58,11 @@ var goldenParallel = map[string]golden{
 // goldenVariants configures the goldenParallel rows keyed
 // "circuit/variant": seed 42, 64 replications and default options,
 // changed as listed. Captured from the estimator before the in-process
-// sampling phase moved onto StreamReplications.
+// sampling phase moved onto StreamReplications. The control-variate
+// row's hidden-cycle count was re-baselined once, from 328512 to
+// 295744: the run converges on its seeded phase-1 samples, merges no
+// block, and no longer charges the 64×512 replication warm-up cycles
+// that never ran.
 var goldenVariants = map[string]func(*Options){
 	"s298/zero-delay":      func(o *Options) { o.Mode = power.ModeZeroDelay },
 	"s298/antithetic":      func(o *Options) { o.Variance.Mode = vr.ModeAntithetic },
@@ -413,7 +417,7 @@ func sameResumePoint(t *testing.T, label string, got, want ResumePoint) {
 // TestPreparePlanMatchesScalarRoute is the phase-1 differential:
 // PreparePlanCtx's ResumePoint — interval, cap flag, every trial's
 // statistics, the seed sequence and toggles, the plan and the cycle
-// tally — equals the scalar-session route on both backends, for every
+// tally — equals the scalar-session route, for every
 // goldenVariants option set (general-delay, zero-delay, antithetic,
 // control-variate, breakdown, clipped), with and without a fixed
 // interval, and for an all-zero delay table under general-delay mode.
@@ -436,22 +440,19 @@ func TestPreparePlanMatchesScalarRoute(t *testing.T) {
 	}
 	fixed := 2
 	for _, r := range rows {
-		for _, b := range sim.Backends() {
-			opts := DefaultOptions()
-			opts.Replications = 64
-			opts.Backend = b
-			r.set(&opts)
-			for _, fx := range []*int{nil, &fixed} {
-				label := r.name + "/" + string(b)
-				if fx != nil {
-					label += "/fixed"
-				}
-				got, err := PreparePlanCtx(context.Background(), r.tb, src, 42, opts, fx)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				sameResumePoint(t, label, got, scalarResumePoint(t, r.tb, src, 42, opts, fx))
+		opts := DefaultOptions()
+		opts.Replications = 64
+		r.set(&opts)
+		for _, fx := range []*int{nil, &fixed} {
+			label := r.name
+			if fx != nil {
+				label += "/fixed"
 			}
+			got, err := PreparePlanCtx(context.Background(), r.tb, src, 42, opts, fx)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			sameResumePoint(t, label, got, scalarResumePoint(t, r.tb, src, 42, opts, fx))
 		}
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -12,15 +14,13 @@ import (
 )
 
 // shard is one worker's slice of the replication space: a contiguous
-// range of replication indices driven by a single lane-parallel session
-// (at most sim.MaxLanes lanes interpreted, sim.CompiledMaxLanes
-// compiled). Under the general-delay engine each shard's sampled cycles
-// are observed under the testbench's delay table (the compiled session
-// word-level, the packed one lane by lane with its own scalar
-// simulator); under the word-parallel zero-delay engines sampled cycles
-// stay packed and delays is nil.
+// range of at most sim.CompiledMaxLanes replication indices driven by a
+// single compiled lane session. Under the general-delay engine each
+// shard's sampled cycles are observed word-level under the testbench's
+// delay table; under the zero-delay engine they are observed as row
+// diffs and delays is nil.
 type shard struct {
-	ps     sim.LaneSession
+	ps     *sim.CompiledSession
 	delays *delay.Table
 	lanes  int
 	powers []float64 // per-block lane powers, round-major: [round*lanes + lane]
@@ -31,16 +31,15 @@ type shard struct {
 
 // newShards builds the canonical shard layout over replications
 // [lo, hi): SplitRange into at least `workers` shards (so the pool is
-// saturated) and enough that none exceeds the backend's lane width.
+// saturated) and enough that none exceeds the compiled session width.
 // Replication r keeps its globally fixed seed baseSeed+1+r regardless
 // of the layout, and lane counts differ by at most one. Every sampling
 // phase — in-process or on a cluster worker — runs through
 // StreamReplications and so through this layout.
 func newShards(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, plan vr.Plan, lo, hi, workers int) ([]*shard, error) {
-	backend := opts.Backend.Canonical()
-	_, _, packedSampled := sampledEngine(tb, opts, plan)
+	_, _, zeroDelay := sampledEngine(tb, opts, plan)
 	n := hi - lo
-	nShards := max(workers, (n+sim.MaxLanesFor(backend)-1)/sim.MaxLanesFor(backend))
+	nShards := max(workers, (n+sim.CompiledMaxLanes-1)/sim.CompiledMaxLanes)
 	shards := make([]*shard, 0, nShards)
 	for _, b := range SplitRange(lo, hi, nShards) {
 		lanes := b[1] - b[0]
@@ -52,13 +51,13 @@ func newShards(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options,
 			}
 		}
 		sh := &shard{
-			ps: sim.NewLaneSessionConfig(backend, tb.Circuit, srcs, sim.SessionConfig{
+			ps: sim.NewCompiledSessionConfig(tb.Circuit, srcs, sim.CompiledConfig{
 				CacheBudget: opts.CacheBudget,
 				Workers:     opts.SessionWorkers,
 			}),
 			lanes: lanes,
 		}
-		if !packedSampled {
+		if !zeroDelay {
 			sh.delays = tb.Delays
 		}
 		if plan.NeedsCovariate() {
@@ -71,39 +70,33 @@ func newShards(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options,
 
 // sampledEngine names the engine that observes a run's sampled cycles
 // and reports whether they are observed as zero-delay toggle diffs on
-// the lane session (packed). Under zero-delay mode they are, unless a
-// control variate needs the general-delay sample beside its covariate;
-// a general-delay run whose delay table is all-zero takes the same
+// the lane session. Under zero-delay mode they are, unless a control
+// variate needs the general-delay sample beside its covariate; a
+// general-delay run whose delay table is all-zero takes the same
 // upgrade, since its powers are bit-identical (see delay.Table.AllZero).
-// A compiled session reports the compiled zero-delay engine. Otherwise
-// each shard observes its lanes with the event-driven simulator under
-// the testbench's delay model — word-level on the compiled backend, one
-// scalar simulation per lane on the packed one. newShards and
-// SamplingPhase both decide here, so the reported engine is always the
-// one that ran.
-func sampledEngine(tb *Testbench, opts Options, plan vr.Plan) (engine, delayModel string, packed bool) {
+// Otherwise each shard observes its lanes word-level with the
+// event-driven semantics under the testbench's delay model. newShards
+// and SamplingPhase both decide here, so the reported engine is always
+// the one that ran.
+func sampledEngine(tb *Testbench, opts Options, plan vr.Plan) (engine, delayModel string, zeroDelay bool) {
 	if (!opts.Mode.IsZeroDelay() && !tb.Delays.AllZero()) || plan.NeedsCovariate() {
 		return sim.EngineEventDriven, tb.Delays.ModelName, false
 	}
-	if opts.Backend.Canonical() == sim.BackendCompiled {
-		return sim.EngineCompiledZeroDelay, delay.Zero{}.Name(), true
-	}
-	return sim.EnginePackedZeroDelay, delay.Zero{}.Name(), true
+	return sim.EngineCompiledZeroDelay, delay.Zero{}.Name(), true
 }
 
 // EstimateParallel runs the DIPE flow with many independent replications
 // advanced concurrently. Interval selection runs once on a one-lane
-// session of opts.Backend seeded baseSeed, whose samples are
-// bit-identical to Estimate's scalar session over the same source (see
-// PreparePlanCtx); sampling then shards
-// opts.Replications independent sequences — replication r is seeded
-// baseSeed+1+r, a fixed lane→seed mapping — across a goroutine worker
-// pool. Each worker drives a lane-parallel session (opts.Backend: up to
-// 512 replications per compiled session, 64 per packed one) through the
-// hidden cycles of the independence interval and, under general-delay
-// mode, observes sampled cycles with the event-driven simulator — on
-// the compiled backend word-level, 64 lanes per machine word, each lane
-// bit-identical to the scalar simulator. Samples are merged into the stopping criterion
+// compiled session seeded baseSeed, whose samples are bit-identical to
+// Estimate's scalar session over the same source (see PreparePlanCtx);
+// sampling then shards opts.Replications independent sequences —
+// replication r is seeded baseSeed+1+r, a fixed lane→seed mapping —
+// across a goroutine worker pool. Each worker drives a compiled lane
+// session (up to sim.CompiledMaxLanes replications) through the hidden
+// cycles of the independence interval and, under general-delay mode,
+// observes sampled cycles with the event-driven semantics word-level,
+// 64 lanes per machine word, each lane bit-identical to the scalar
+// simulator. Samples are merged into the stopping criterion
 // deterministically (round-major, in replication order), so the result
 // is reproducible and independent of opts.Workers and of goroutine
 // scheduling.
@@ -158,7 +151,12 @@ func EstimateParallelWithIntervalCtx(ctx context.Context, tb *Testbench, src vec
 }
 
 // runShards applies fn to every shard with at most `workers` goroutines
-// in flight, and waits for all of them.
+// in flight, and waits for all of them. A panic in fn (a user source,
+// say) is recovered on its shard goroutine and re-raised on the calling
+// goroutine once every shard has finished, carrying the shard's stack:
+// the parallel path then fails the way the serial one does, where the
+// caller's own recover (a service job, a worker's stream handler) can
+// turn it into an error instead of the panic killing the process.
 func runShards(shards []*shard, workers int, fn func(*shard)) {
 	if workers <= 1 || len(shards) == 1 {
 		for _, sh := range shards {
@@ -167,15 +165,27 @@ func runShards(shards []*shard, workers int, fn func(*shard)) {
 		return
 	}
 	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		panicked sync.Once
+		value    any
+	)
 	for _, sh := range shards {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(sh *shard) {
 			defer wg.Done()
+			defer func() { <-sem }()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.Do(func() { value = fmt.Sprintf("%v\n\nshard goroutine stack:\n%s", r, debug.Stack()) })
+				}
+			}()
 			fn(sh)
-			<-sem
 		}(sh)
 	}
 	wg.Wait()
+	if value != nil {
+		panic(value)
+	}
 }

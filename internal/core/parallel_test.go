@@ -2,11 +2,14 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/bench89"
+	"repro/internal/sim"
 	"repro/internal/stopping"
 	"repro/internal/vectors"
+	"repro/internal/vr"
 )
 
 // TestEstimateParallelDeterministic: the same seeds give the same result,
@@ -162,4 +165,91 @@ func TestEstimateParallelValidate(t *testing.T) {
 	if _, err := EstimateParallel(tb, factory, 1, opts); err == nil {
 		t.Fatal("negative Workers accepted")
 	}
+}
+
+// TestValidateRejectsUnfittableReplications: a replication count whose
+// first round cannot fit the sample budget left after the phase-1 seed
+// is rejected up front, with a reason naming Replications and the
+// budget, instead of "succeeding" unconverged without a single round.
+// The bound is the sampling phase's own round budget.
+func TestValidateRejectsUnfittableReplications(t *testing.T) {
+	c := bench89.S27()
+	tb := DefaultTestbench(c)
+	factory := vectors.IIDFactory(len(c.Inputs), 0.5)
+	opts := DefaultOptions()
+	opts.Replications = 200_000_000
+	_, err := EstimateParallel(tb, factory, 1, opts)
+	if err == nil || !strings.Contains(err.Error(), "Replications") || !strings.Contains(err.Error(), "MaxSamples") {
+		t.Fatalf("EstimateParallel = %v, want a Replications/MaxSamples budget error", err)
+	}
+	// The edge: exactly one round fits after the seeded SeqLen samples.
+	opts.Replications = opts.MaxSamples - opts.SeqLen
+	if err := opts.Validate(); err != nil {
+		t.Fatalf("one fitting round rejected: %v", err)
+	}
+	opts.Replications++
+	if err := opts.Validate(); err == nil {
+		t.Fatal("a round one sample over the budget accepted")
+	}
+	// Unseeded runs have the whole budget; antithetic rounds count pairs.
+	opts.ReuseTestSamples = false
+	if err := opts.Validate(); err != nil {
+		t.Fatalf("unseeded fitting round rejected: %v", err)
+	}
+	opts = DefaultOptions()
+	opts.Variance.Mode = vr.ModeAntithetic
+	opts.Replications = 2 * (opts.MaxSamples - opts.SeqLen)
+	if err := opts.Validate(); err != nil {
+		t.Fatalf("antithetic fitting round rejected: %v", err)
+	}
+	opts.Replications += 2
+	if err := opts.Validate(); err == nil {
+		t.Fatal("antithetic round over the budget accepted")
+	}
+}
+
+// panickingFactory builds sources that panic after `after` draws, for
+// every seed but `spare` (the phase-1 selection seed).
+func panickingFactory(width int, spare int64, after int) vectors.Factory {
+	iid := vectors.IIDFactory(width, 0.5)
+	return func(seed int64) vectors.Source {
+		if seed == spare {
+			return iid(seed)
+		}
+		return &panickySource{Source: iid(seed), left: after}
+	}
+}
+
+type panickySource struct {
+	vectors.Source
+	left int
+}
+
+func (s *panickySource) Next(dst []bool) {
+	if s.left--; s.left < 0 {
+		panic("source exhausted")
+	}
+	s.Source.Next(dst)
+}
+
+// TestRunShardsPanicReachesCaller: a panic in a shard goroutine of the
+// parallel sampling phase is re-raised on the calling goroutine, with
+// the shard's stack in the value, after every shard has finished — the
+// way the serial path fails — instead of killing the process from a
+// goroutine no caller can recover.
+func TestRunShardsPanicReachesCaller(t *testing.T) {
+	c := bench89.S27()
+	tb := DefaultTestbench(c)
+	opts := DefaultOptions()
+	opts.Replications = 2 * sim.CompiledMaxLanes // two full shards
+	opts.Workers = 2
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "source exhausted") || !strings.Contains(msg, "runShards") {
+			t.Fatalf("recovered %v, want the shard's panic with its stack", r)
+		}
+	}()
+	EstimateParallel(tb, panickingFactory(len(c.Inputs), 1, 100), 1, opts)
+	t.Fatal("EstimateParallel returned instead of panicking")
 }

@@ -59,14 +59,13 @@ type ResumePoint struct {
 
 // PreparePlanCtx runs the pre-sampling phases of an EstimateParallel
 // run and freezes them into a ResumePoint. With fixed == nil, phase 1
-// (Fig. 2 interval selection) runs on a one-lane session of
-// opts.Backend seeded baseSeed: hidden cycles on the backend's hidden
-// step; under general-delay mode each trial's sampled cycles are
-// recorded as the lanes of one sim.CycleStack and observed together,
-// word-level, once the trial is collected. Its samples, toggles and
-// cycle counts are bit-identical to selection on a scalar Session
-// (SelectIntervalCtx) over the same source. A non-nil
-// fixed skips selection and pins the interval, exactly like
+// (Fig. 2 interval selection) runs on a one-lane compiled session
+// seeded baseSeed: hidden cycles on its Step program; under
+// general-delay mode each trial's sampled cycles are recorded as the
+// lanes of one sim.CycleStack and observed together, word-level, once
+// the trial is collected. Its samples, toggles and cycle counts are
+// bit-identical to selection on a scalar Session (SelectIntervalCtx)
+// over the same source. A non-nil fixed skips selection and pins the interval, exactly like
 // EstimateParallelWithInterval. Plan resolution (ResolvePlan) follows
 // in either case. Two calls with the same inputs produce bit-identical
 // points — the determinism that makes persisted checkpoints safe to

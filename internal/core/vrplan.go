@@ -45,8 +45,7 @@ type CalCost struct {
 // the phase-1 (sample, covariate) pairs — or, for fixed-interval runs,
 // a dedicated SeqLen-pair calibration sequence on the one-lane phase-1
 // sampler seeded baseSeed, the seed selection would have used — and the
-// covariate mean from a zero-delay pre-run over dedicated lane seeds
-// on the run's backend. Everything is seeded deterministically, so two
+// covariate mean from a zero-delay pre-run over dedicated lane seeds. Everything is seeded deterministically, so two
 // resolutions with the same inputs produce bit-identical plans.
 func ResolvePlan(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, interval int, sel *IntervalSelection) (vr.Plan, []float64, CalCost, error) {
 	var seed []float64
@@ -120,24 +119,23 @@ func ResolvePlan(ctx context.Context, tb *Testbench, src vectors.Factory, baseSe
 }
 
 // controlMean estimates the covariate mean — the stationary per-cycle
-// zero-delay toggle power — with a 64-lane zero-delay pre-run over
-// dedicated seeds on a lane session of the run's backend (every backend
-// computes bit-identical toggle powers). The run costs hidden-cycle
-// rates (one settle plus a diff pass per cycle) and is tallied entirely
-// as hidden cycles.
+// zero-delay toggle power — with a zero-delay pre-run of sim.WordLanes
+// lanes over dedicated seeds on a compiled lane session. The run costs
+// hidden-cycle rates (one settle plus a diff pass per cycle) and is
+// tallied entirely as hidden cycles.
 func controlMean(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options) (float64, CalCost) {
 	cycles := opts.Variance.ControlCycles
 	if cycles == 0 {
 		cycles = vr.DefaultControlCycles
 	}
-	srcs := make([]vectors.Source, sim.MaxLanes)
+	srcs := make([]vectors.Source, sim.WordLanes)
 	for k := range srcs {
 		srcs[k] = src(baseSeed + controlSeedOffset + int64(k))
 	}
-	ls := sim.NewLaneSessionConfig(opts.Backend, tb.Circuit, srcs, sim.SessionConfig{CacheBudget: opts.CacheBudget})
+	ls := sim.NewCompiledSessionConfig(tb.Circuit, srcs, sim.CompiledConfig{CacheBudget: opts.CacheBudget})
 	ls.StepHiddenN(opts.WarmupCycles)
 	weights := tb.Weights()
-	powers := make([]float64, sim.MaxLanes)
+	powers := make([]float64, sim.WordLanes)
 	var sum float64
 	for i := 0; i < cycles; i++ {
 		ls.StepSampled(weights, powers)
@@ -146,7 +144,7 @@ func controlMean(tb *Testbench, src vectors.Factory, baseSeed int64, opts Option
 		}
 	}
 	hidden, sampled := ls.CycleCounts()
-	return sum / float64(cycles*sim.MaxLanes), CalCost{Hidden: hidden + sampled}
+	return sum / float64(cycles*sim.WordLanes), CalCost{Hidden: hidden + sampled}
 }
 
 // replicationSource builds replication r's input source under a plan:

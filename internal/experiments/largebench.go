@@ -15,7 +15,7 @@ import (
 
 // The large-circuit benchmark (BENCH_7.json) measures what the blocked
 // executor buys at s38417 scale and beyond: the same estimation
-// duty-cycle sweep as CompiledThroughput, but compiled-backend only,
+// duty-cycle sweep as EngineThroughput, compiled sessions only,
 // comparing the linear one-pass executor against the cache-blocked
 // wave-batched form and the level-parallel executor at several worker
 // counts. The suite pairs the largest ISCAS'89 circuit with a synthetic
@@ -28,7 +28,7 @@ import (
 // duty figure is end-to-end estimation cycles per second; it also
 // includes the stimulus and observation layers (per-lane source draws
 // and the weighted toggle diff), whose bit streams and float summation
-// order are frozen by the cross-backend identity contract and are
+// order are frozen by the per-lane identity contract and are
 // therefore identical work in every row. Reporting both keeps the
 // comparison honest: the executor speedup is the engine ratio, and the
 // duty ratio shows how much of an estimation cycle that execution is.
@@ -142,15 +142,15 @@ func LargeBench(cfg LargeBenchConfig) ([]LargeBenchRow, error) {
 
 	type execConfig struct {
 		label string
-		sc    sim.SessionConfig
+		cc    sim.CompiledConfig
 	}
 	configs := []execConfig{
-		{"unblocked", sim.SessionConfig{CacheBudget: -1}},
-		{"blocked", sim.SessionConfig{}},
+		{"unblocked", sim.CompiledConfig{CacheBudget: -1, Instrument: true}},
+		{"blocked", sim.CompiledConfig{Instrument: true}},
 	}
 	for _, n := range cfg.WorkerCounts {
 		if n > 1 {
-			configs = append(configs, execConfig{fmt.Sprintf("workers-%d", n), sim.SessionConfig{Workers: n}})
+			configs = append(configs, execConfig{fmt.Sprintf("workers-%d", n), sim.CompiledConfig{Workers: n, Instrument: true}})
 		}
 	}
 
@@ -168,11 +168,7 @@ func LargeBench(cfg LargeBenchConfig) ([]LargeBenchRow, error) {
 				for k := range srcs {
 					srcs[k] = vectors.NewIID(width, 0.5, cfg.Seed+1+int64(k))
 				}
-				return sim.NewCompiledSessionConfig(c, srcs, sim.CompiledConfig{
-					CacheBudget: ec.sc.CacheBudget,
-					Workers:     ec.sc.Workers,
-					Instrument:  true,
-				})
+				return sim.NewCompiledSessionConfig(c, srcs, ec.cc)
 			}
 			powers := make([]float64, cfg.Lanes)
 

@@ -12,9 +12,9 @@ import (
 // ModeRow is one row of the Table-1-style two-mode comparison: the same
 // circuit estimated under the general-delay mode (event-driven,
 // glitches included) and the zero-delay mode (functional transitions
-// only, packed sampled phase). The power gap is the glitch power the
-// delay model exposes; the cost columns show the zero-delay sampled
-// phase running at packed throughput.
+// only, word-parallel sampled phase). The power gap is the glitch power
+// the delay model exposes; the cost columns show the zero-delay sampled
+// phase running at hidden-cycle throughput.
 type ModeRow struct {
 	Name       string
 	Gates      int

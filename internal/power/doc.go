@@ -12,8 +12,8 @@
 // PowerMode: under ModeGeneralDelay n_i includes glitches (the paper's
 // event-driven observation, Section IV); under ModeZeroDelay n_i is the
 // functional toggle count (at most 1 per cycle), which excludes glitch
-// power by construction and admits the bit-parallel packed sampled
-// phase of internal/sim. The mode is a first-class estimator option
+// power by construction and admits the word-parallel sampled phase of
+// internal/sim. The mode is a first-class estimator option
 // (core.Options.Mode) and API field (the service's "powerMode"); the
 // gap between the two modes' estimates is the circuit's glitch power,
 // the sensitivity the delay-model ablation quantifies.

@@ -7,8 +7,9 @@ import "fmt"
 // power engine (see internal/sim): general-delay observation counts
 // every transition including glitches with the event-driven simulator;
 // zero-delay observation counts only functional (settled-value)
-// transitions and admits the bit-parallel packed engine, which makes
-// sampled cycles as cheap as hidden ones.
+// transitions and admits the word-parallel zero-delay diff on the
+// compiled lanes, which makes sampled cycles about as cheap as hidden
+// ones.
 //
 // The zero value ("") means ModeGeneralDelay, the paper's configuration,
 // so existing call sites keep their behaviour without change.

@@ -18,11 +18,9 @@ import (
 // re-uploading the same netlist under the same name hits, replacing it
 // with different text misses — plus the request knobs with defaults
 // applied, so spelling a default explicitly still hits. Worker count is
-// excluded: results are worker-independent by construction. The
-// simulation backend is included even though estimates are
-// backend-independent too — the result's engine/backend labels report
-// what actually ran, and a cached compiled result must not answer a
-// packed request (or vice versa) with the wrong provenance.
+// excluded: results are worker-independent by construction. So is the
+// deprecated backend field: every request runs the one compiled lane
+// engine, so "packed", "compiled" and "" share one cache slot.
 
 // HashSource content-addresses a circuit's provenance. Builtin circuits
 // hash their generator identity; uploads hash name, format and the full
@@ -73,7 +71,6 @@ type cacheKeySpec struct {
 	Replications  int      `json:"replications"`
 	Reuse         bool     `json:"reuse"`
 	Mode          string   `json:"mode"`
-	Backend       string   `json:"backend"`
 	Variance      string   `json:"variance,omitempty"`
 	Beta          *float64 `json:"beta,omitempty"`
 	ControlCycles int      `json:"controlCycles,omitempty"`
@@ -106,7 +103,6 @@ func resultKey(src CircuitSource, req JobRequest) string {
 		Replications:  opts.ReplicationCount(),
 		Reuse:         opts.ReuseTestSamples,
 		Mode:          opts.Mode.String(),
-		Backend:       opts.Backend.String(),
 		Variance:      string(opts.Variance.Mode.Canonical()),
 		Beta:          opts.Variance.BetaOverride,
 		ControlCycles: opts.Variance.ControlCycles,

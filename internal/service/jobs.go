@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"time"
 
@@ -96,23 +97,21 @@ type OptionsSpec struct {
 	MaxSamples int `json:"maxSamples,omitempty"`
 	// PowerMode selects the sampled-cycle observation scenario:
 	// "general-delay" (event-driven, glitches included — the default) or
-	// "zero-delay" (functional transitions only, bit-parallel packed
-	// engine). Unknown values fail Validate, so bad requests are rejected
-	// at submit time.
+	// "zero-delay" (functional transitions only, word-parallel on the
+	// compiled lane sessions). Unknown values fail Validate, so bad
+	// requests are rejected at submit time.
 	PowerMode string `json:"powerMode,omitempty"`
-	// Backend selects the lane-parallel simulation backend: "" or
-	// "compiled" (the word-level bytecode engine, compiled once per
-	// circuit — the default, gated ≥2x faster in CI) or "packed" (the
-	// interpreted word-parallel sweep, the escape hatch). The backends
-	// are observation-equivalent — results are bit-identical — so this
-	// is a throughput knob. Unknown values fail Validate at submit time.
+	// Backend is deprecated: every job runs the one compiled lane
+	// engine. It is still decoded so stored journals and older clients
+	// keep working — "", "compiled" and "packed" are accepted, change
+	// nothing, and never key the result cache; any other value fails
+	// Validate at submit time (see CheckBackend).
 	Backend string `json:"backend,omitempty"`
 	// SessionWorkers > 1 runs each compiled session's per-level
 	// instruction waves across this many goroutines (level parallelism
-	// for big-circuit replications). Result-invariant; ignored by the
-	// packed backend.
+	// for big-circuit replications). Result-invariant.
 	SessionWorkers int `json:"sessionWorkers,omitempty"`
-	// CacheBudget bounds the compiled backend's cache-blocked execution
+	// CacheBudget bounds the compiled sessions' cache-blocked execution
 	// scratch in bytes (0 = default ~L2/2, negative disables blocking).
 	// Result-invariant.
 	CacheBudget int `json:"cacheBudget,omitempty"`
@@ -158,7 +157,6 @@ func (o OptionsSpec) Options() core.Options {
 		opts.MaxSamples = o.MaxSamples
 	}
 	opts.Mode = power.PowerMode(o.PowerMode)
-	opts.Backend = sim.Backend(o.Backend)
 	opts.SessionWorkers = o.SessionWorkers
 	opts.CacheBudget = o.CacheBudget
 	opts.Variance.Mode = vr.Mode(o.Variance).Canonical()
@@ -195,7 +193,27 @@ func (r JobRequest) Validate() error {
 	if _, err := r.Source.Factory(1); err != nil {
 		return err
 	}
-	return r.Options.Options().Validate()
+	return r.Options.validate()
+}
+
+// validate rejects option sets the estimator would reject, and unknown
+// values of the deprecated backend field.
+func (o OptionsSpec) validate() error {
+	if err := CheckBackend(o.Backend); err != nil {
+		return err
+	}
+	return o.Options().Validate()
+}
+
+// CheckBackend validates a deprecated backend request field: "",
+// "compiled" and "packed" name the one compiled lane engine, anything
+// else is rejected.
+func CheckBackend(name string) error {
+	switch name {
+	case "", "compiled", "packed":
+		return nil
+	}
+	return fmt.Errorf("service: unknown backend %q", name)
 }
 
 // jsonFinite maps non-finite values to -1 for JSON transport: a
@@ -224,7 +242,6 @@ type ResultView struct {
 	SampledCycles  uint64  `json:"sampledCycles"`
 	Criterion      string  `json:"criterion"`
 	Engine         string  `json:"engine"`
-	Backend        string  `json:"backend,omitempty"`
 	DelayModel     string  `json:"delayModel"`
 	Variance       string  `json:"variance,omitempty"`
 	CVBeta         float64 `json:"cvBeta,omitempty"`
@@ -309,7 +326,6 @@ func viewResult(res core.Result) *ResultView {
 		SampledCycles:  res.SampledCycles,
 		Criterion:      res.Criterion,
 		Engine:         res.Engine,
-		Backend:        res.Backend,
 		DelayModel:     res.DelayModel,
 		Variance:       res.Variance,
 		CVBeta:         res.CVBeta,
@@ -517,7 +533,7 @@ func (m *Manager) restore(restored []RestoredJob) {
 		}
 		if j.state.Terminal() {
 			close(j.done)
-			if j.state == StateDone && j.result != nil && j.cacheKey != "" {
+			if j.state == StateDone && j.result != nil && j.cacheKey != "" && currentEngine(j.result.Engine) {
 				m.cache.put(j.cacheKey, *j.result)
 			}
 		} else {
@@ -533,6 +549,15 @@ func (m *Manager) restore(restored []RestoredJob) {
 			m.seq = n
 		}
 	}
+}
+
+// currentEngine reports whether a restored result's engine label is one
+// a run reports today. A result journaled under a retired label (the
+// interpreted backend's "packed-zero-delay") stays queryable as its own
+// job, but never primes the cache: a new request must not be answered
+// with an engine that no longer exists.
+func currentEngine(engine string) bool {
+	return engine == sim.EngineEventDriven || engine == sim.EngineCompiledZeroDelay
 }
 
 // Submit validates and enqueues a request, returning the job ID. The
@@ -797,13 +822,18 @@ func (m *Manager) worker() {
 
 // run executes one job end to end. A panic anywhere in the estimation
 // stack fails the job instead of killing the pool worker (and with it
-// the whole server).
+// the whole server). The panic value may carry a goroutine stack (see
+// core's runShards): the whole value is logged, the job's error keeps
+// its first line.
 func (m *Manager) run(j *job) {
 	ctx, cancel := context.WithCancel(m.ctx)
 	defer cancel()
 	defer func() {
 		if r := recover(); r != nil {
-			m.finish(j, StateFailed, nil, fmt.Sprintf("internal panic: %v", r))
+			msg := fmt.Sprint(r)
+			m.log.Error("job panicked", "job", j.id, "panic", msg)
+			first, _, _ := strings.Cut(msg, "\n")
+			m.finish(j, StateFailed, nil, "internal panic: "+first)
 		}
 	}()
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/vectors"
 )
 
 // newTestService builds a service with a small deterministic
@@ -176,18 +177,18 @@ func TestDeterminismAndCacheHit(t *testing.T) {
 	}
 }
 
-// TestCacheKeyedByBackend: requests differing only in simulation
-// backend occupy separate cache slots — estimates are bit-identical
-// across backends by construction, but the result's engine/backend
-// labels report what actually ran, so a cached compiled run must not
-// answer a packed request.
-func TestCacheKeyedByBackend(t *testing.T) {
+// TestPackedRequestSharesCacheSlot: the deprecated backend field no
+// longer keys the result cache. A "packed" or "compiled" request after a
+// default one is answered from the default run's slot — the same bits,
+// with the labels of the one compiled lane engine — and an unknown
+// backend is still rejected at submit.
+func TestPackedRequestSharesCacheSlot(t *testing.T) {
 	svc, ts := newTestService(t, Config{Workers: 1})
 
 	run := func(backend string) JobView {
 		req := fastRequest(7)
-		req.Options.PowerMode = "zero-delay"
-		req.Options.Backend = backend
+		opt := &req.Options
+		opt.PowerMode, opt.Backend = "zero-delay", backend
 		var v JobView
 		if code := postJSON(t, ts.URL+"/v1/jobs", req, &v); code != http.StatusAccepted {
 			t.Fatalf("submit status = %d", code)
@@ -202,29 +203,106 @@ func TestCacheKeyedByBackend(t *testing.T) {
 		return out
 	}
 
-	compiled := run("compiled")
-	packed := run("packed")
-	if packed.Result.Cached {
-		t.Fatalf("packed request was served from the compiled run's cache slot: %+v", packed.Result)
+	def := run("")
+	if def.Result.Cached || def.Result.Engine != "compiled-zero-delay" {
+		t.Fatalf("default run = %+v, want a fresh compiled-zero-delay result", def.Result)
 	}
-	if compiled.Result.Backend != "compiled" || compiled.Result.Engine != "compiled-zero-delay" {
-		t.Fatalf("compiled run labels = (%q, %q)", compiled.Result.Backend, compiled.Result.Engine)
+	for _, backend := range []string{"packed", "compiled"} {
+		got := run(backend)
+		if !got.Result.Cached || got.Result.Engine != "compiled-zero-delay" {
+			t.Fatalf("%s request = %+v, want the cached compiled-zero-delay result", backend, got.Result)
+		}
+		if b1, b2 := math.Float64bits(def.Result.Power), math.Float64bits(got.Result.Power); b1 != b2 {
+			t.Fatalf("%s request estimate %x, default %x", backend, b2, b1)
+		}
 	}
-	if packed.Result.Backend != "packed" || packed.Result.Engine != "packed-zero-delay" {
-		t.Fatalf("packed run labels = (%q, %q)", packed.Result.Backend, packed.Result.Engine)
+	if cs := svc.Jobs.CacheStats(); cs.Hits != 2 || cs.Misses != 1 || cs.Entries != 1 {
+		t.Fatalf("result cache stats = %+v, want 2 hits / 1 miss / 1 entry", cs)
 	}
-	if b1, b2 := math.Float64bits(compiled.Result.Power), math.Float64bits(packed.Result.Power); b1 != b2 {
-		t.Fatalf("backends disagree on the estimate: %x vs %x", b1, b2)
+	req := fastRequest(7)
+	opt := &req.Options
+	opt.Backend = "vectorized"
+	if code := postJSON(t, ts.URL+"/v1/jobs", req, nil); code != http.StatusBadRequest {
+		t.Fatalf("unknown backend submit status = %d, want 400", code)
 	}
-	// A repeat of each spelling hits its own slot.
-	if again := run("compiled"); !again.Result.Cached || again.Result.Backend != "compiled" {
-		t.Fatalf("compiled repeat = %+v, want cached compiled result", again.Result)
+}
+
+// TestSubmitRejectsUnfittableReplications: a replication count whose
+// first round cannot fit the sample budget is a 400 at submit, not an
+// instantly "converged: false" job.
+func TestSubmitRejectsUnfittableReplications(t *testing.T) {
+	_, ts := newTestService(t, Config{Workers: 1})
+	req := fastRequest(7)
+	req.Options.Replications = 200_000_000
+	var body map[string]any
+	if code := postJSON(t, ts.URL+"/v1/jobs", req, &body); code != http.StatusBadRequest {
+		t.Fatalf("submit status = %d, want 400 (%v)", code, body)
 	}
-	if again := run("packed"); !again.Result.Cached || again.Result.Backend != "packed" {
-		t.Fatalf("packed repeat = %+v, want cached packed result", again.Result)
+	if msg, _ := body["error"].(string); !strings.Contains(msg, "Replications") {
+		t.Fatalf("error %q does not name Replications", msg)
 	}
-	if cs := svc.Jobs.CacheStats(); cs.Hits != 2 || cs.Misses != 2 || cs.Entries != 2 {
-		t.Fatalf("result cache stats = %+v, want 2 hits / 2 misses / 2 entries", cs)
+}
+
+// panicDispatcher is the local (non-resumable) dispatcher, except that
+// a job seeded panicSeed runs over a user source that panics after a
+// few draws — in a shard goroutine of the parallel sampling phase.
+type panicDispatcher struct{ local localDispatcher }
+
+const panicSeed = 666
+
+func (d panicDispatcher) Name() string { return "panic" }
+
+func (d panicDispatcher) Ready() error { return nil }
+
+func (d panicDispatcher) Estimate(ctx context.Context, tb *core.Testbench, req JobRequest, progress func(core.Progress)) (core.Result, error) {
+	if req.Seed != panicSeed {
+		return d.local.Estimate(ctx, tb, req, progress)
+	}
+	iid := vectors.IIDFactory(len(tb.Circuit.Inputs), 0.5)
+	factory := func(seed int64) vectors.Source { return &panicSource{Source: iid(seed), left: 100} }
+	opts := req.Options.Options()
+	return core.EstimateParallelWithIntervalCtx(ctx, tb, factory, req.Seed, opts, 1)
+}
+
+// panicSource panics once it has drawn `left` patterns.
+type panicSource struct {
+	vectors.Source
+	left int
+}
+
+func (s *panicSource) Next(dst []bool) {
+	if s.left--; s.left < 0 {
+		panic("user source exhausted")
+	}
+	s.Source.Next(dst)
+}
+
+// TestShardPanicFailsJob: a panic on a shard goroutine of the parallel
+// sampling phase fails its job with "internal panic" — it reaches the
+// job manager's recover instead of killing the process, and the job's
+// error keeps the panic's first line, not the shard's stack — and the
+// server keeps serving.
+func TestShardPanicFailsJob(t *testing.T) {
+	_, ts := newTestService(t, Config{Workers: 1, Dispatcher: panicDispatcher{}})
+	submit := func(seed int64) JobView {
+		req := fastRequest(seed)
+		req.Options.Replications = 128
+		var v JobView
+		if code := postJSON(t, ts.URL+"/v1/jobs", req, &v); code != http.StatusAccepted {
+			t.Fatalf("submit status = %d", code)
+		}
+		var out JobView
+		if code := getJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/wait?timeout=60s", &out); code != http.StatusOK {
+			t.Fatalf("wait status = %d", code)
+		}
+		return out
+	}
+	failed := submit(panicSeed)
+	if failed.State != StateFailed || failed.Error != "internal panic: user source exhausted" {
+		t.Fatalf("panicking job = %s (%q), want failed with a one-line internal panic", failed.State, failed.Error)
+	}
+	if ok := submit(3); ok.State != StateDone {
+		t.Fatalf("job after the panic = %s (%q), want done", ok.State, ok.Error)
 	}
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -284,5 +285,51 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if got := back.ResumePoint(); !reflect.DeepEqual(got, rp) {
 		t.Errorf("checkpoint round trip changed the resume point\n got %+v\nwant %+v", got, rp)
+	}
+}
+
+// TestJournalPackedJobStaysQueryable: a journal written while the
+// interpreted backend existed — a finished "packed" job whose result
+// carries the retired packed-zero-delay engine label — still loads, and
+// the job stays queryable exactly as it finished. Its result must not
+// prime the cache: an identical new request runs afresh and reports the
+// compiled lane engine.
+func TestJournalPackedJobStaysQueryable(t *testing.T) {
+	dir := t.TempDir()
+	journal := `{"kind":"submit","id":"job-000001","req":{"circuit":"s27","source":{},"seed":7,"options":{"replications":16,"workers":2,"powerMode":"zero-delay","backend":"packed"}}}` + "\n" +
+		`{"kind":"state","id":"job-000001","state":"done","result":{"power":4.25e-05,"interval":1,"sampleSize":352,"halfWidth":2e-06,"relHalfWidth":0.047,"hiddenCycles":8736,"sampledCycles":352,"criterion":"order-statistics","engine":"packed-zero-delay","backend":"packed","delayModel":"zero","converged":true,"elapsedMs":3}}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "jobs.jsonl"), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, ts := newTestService(t, Config{Workers: 1, Store: store})
+
+	req := JobRequest{Circuit: "s27", Seed: 7,
+		Options: OptionsSpec{Replications: 16, Workers: 2, PowerMode: "zero-delay", Backend: "packed"}}
+	var old JobView
+	if code := getJSON(t, ts.URL+"/v1/jobs/job-000001", &old); code != http.StatusOK {
+		t.Fatalf("restored job status = %d", code)
+	}
+	if old.State != StateDone || old.Result == nil || old.Result.Power != 4.25e-05 ||
+		old.Result.Engine != "packed-zero-delay" || !reflect.DeepEqual(old.Request, req) {
+		t.Fatalf("restored job = %+v", old)
+	}
+
+	var v JobView
+	if code := postJSON(t, ts.URL+"/v1/jobs", req, &v); code != http.StatusAccepted {
+		t.Fatalf("submit status = %d", code)
+	}
+	var out JobView
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/wait?timeout=60s", &out); code != http.StatusOK {
+		t.Fatalf("wait status = %d", code)
+	}
+	if out.State != StateDone || out.Result.Cached || out.Result.Engine != "compiled-zero-delay" {
+		t.Fatalf("new request = %s %+v, want a fresh compiled-zero-delay run", out.State, out.Result)
+	}
+	if cs := svc.Jobs.CacheStats(); cs.Hits != 0 || cs.Misses != 1 {
+		t.Fatalf("result cache stats = %+v, want 0 hits / 1 miss", cs)
 	}
 }

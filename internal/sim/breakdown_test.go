@@ -22,13 +22,13 @@ func iidSources(width, lo, hi int, base int64) []vectors.Source {
 
 // TestToggleCountsThreeWayDifferential pins the per-node transition
 // counts three ways over every bench89 circuit: the scalar
-// ZeroDelayToggle engine (one session per lane), the packed
-// interpreter's popcounted toggle diff, and the compiled backend's
-// scatter — at lane widths crossing every word-partition boundary (one
-// lane, a partial word, one word plus one, and eight full words). The
-// counts are integer sums, so all three must agree exactly, not within
-// tolerance: this is the invariant that makes breakdown reports
-// backend- and shard-independent.
+// ZeroDelayToggle engine (one session per lane), one compiled session
+// over all lanes, and compiled sessions tiling the lanes one word each —
+// at lane widths crossing every word-partition boundary (one lane, a
+// partial word, one word plus one, and eight full words). The counts
+// are integer sums, so all three must agree exactly, not within
+// tolerance: this is the invariant that makes breakdown reports lane-
+// and shard-independent.
 func TestToggleCountsThreeWayDifferential(t *testing.T) {
 	const (
 		hidden  = 6
@@ -60,11 +60,11 @@ func TestToggleCountsThreeWayDifferential(t *testing.T) {
 					s.StepSampled(want)
 				}
 			}
-			for _, backend := range Backends() {
+			for _, tile := range []int{lanes, WordLanes} {
 				got := make([]uint64, c.NumNodes())
-				for lo := 0; lo < lanes; lo += MaxLanes {
-					hi := min(lo+MaxLanes, lanes)
-					ls := NewLaneSession(backend, c, iidSources(len(c.Inputs), lo, hi, base))
+				for lo := 0; lo < lanes; lo += tile {
+					hi := min(lo+tile, lanes)
+					ls := NewCompiledSession(c, iidSources(len(c.Inputs), lo, hi, base))
 					ls.AccumulateToggles(got)
 					powers := make([]float64, hi-lo)
 					ls.StepHiddenN(hidden)
@@ -74,8 +74,8 @@ func TestToggleCountsThreeWayDifferential(t *testing.T) {
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Errorf("%s lanes=%d %s: node %s counts %d, scalar %d",
-							name, lanes, backend, c.Nodes[i].Name, got[i], want[i])
+						t.Errorf("%s lanes=%d tile=%d: node %s counts %d, scalar %d",
+							name, lanes, tile, c.Nodes[i].Name, got[i], want[i])
 						break
 					}
 				}
@@ -110,7 +110,7 @@ func TestToggleCountsGeneralDelayMatchScalar(t *testing.T) {
 			}
 		}
 		got := make([]uint64, c.NumNodes())
-		ps := NewPackedSession(c, iidSources(len(c.Inputs), 0, lanes, base))
+		ps := NewCompiledSession(c, iidSources(len(c.Inputs), 0, lanes, base))
 		ps.AccumulateToggles(got)
 		zt := delay.BuildTable(c, delay.Zero{})
 		powers := make([]float64, lanes)
@@ -140,29 +140,27 @@ func TestToggleCountsGeneralDelayMatchScalar(t *testing.T) {
 func TestToggleCountsNoOverflowAt32Bits(t *testing.T) {
 	c := bench89.MustGet("s298")
 	w := make([]float64, c.NumNodes())
-	for _, backend := range Backends() {
-		counts := make([]uint64, c.NumNodes())
-		for i := range counts {
-			counts[i] = math.MaxUint32 - 8
+	counts := make([]uint64, c.NumNodes())
+	for i := range counts {
+		counts[i] = math.MaxUint32 - 8
+	}
+	ls := NewCompiledSession(c, iidSources(len(c.Inputs), 0, WordLanes, 5))
+	ls.AccumulateToggles(counts)
+	powers := make([]float64, WordLanes)
+	ls.StepHiddenN(4)
+	for i := 0; i < 32; i++ {
+		ls.StepSampled(w, powers)
+	}
+	crossed := false
+	for _, n := range counts {
+		if n < math.MaxUint32-8 {
+			t.Fatalf("count wrapped to %d", n)
 		}
-		ls := NewLaneSession(backend, c, iidSources(len(c.Inputs), 0, MaxLanes, 5))
-		ls.AccumulateToggles(counts)
-		powers := make([]float64, MaxLanes)
-		ls.StepHiddenN(4)
-		for i := 0; i < 32; i++ {
-			ls.StepSampled(w, powers)
+		if n > math.MaxUint32 {
+			crossed = true
 		}
-		crossed := false
-		for _, n := range counts {
-			if n < math.MaxUint32-8 {
-				t.Fatalf("%s: count wrapped to %d", backend, n)
-			}
-			if n > math.MaxUint32 {
-				crossed = true
-			}
-		}
-		if !crossed {
-			t.Fatalf("%s: no node crossed the 32-bit boundary; the regression test lost its teeth", backend)
-		}
+	}
+	if !crossed {
+		t.Fatal("no node crossed the 32-bit boundary; the regression test lost its teeth")
 	}
 }

@@ -11,17 +11,23 @@ import (
 	"repro/internal/vectors"
 )
 
+// WordLanes is the number of replication lanes one machine word of a
+// register row holds.
+const WordLanes = 64
+
 // CompiledMaxLanes is the widest compiled session: 8 words of lanes per
 // register row, so one pass over the program advances up to 512
 // replications. Wider rows amortize the per-instruction dispatch cost
 // over more lanes while keeping an s1494-sized register file inside L2.
-const CompiledMaxLanes = 8 * 64
+const CompiledMaxLanes = 8 * WordLanes
 
 // CompiledSession drives up to CompiledMaxLanes independent
 // replications through clock cycles with the compiled word-level
 // programs of internal/compile, instead of interpreting the CSR netlist
-// gate-by-gate. It implements LaneSession with per-lane observations
-// bit-identical to PackedSession (and hence to scalar sessions):
+// gate-by-gate. It is the estimator's one lane-parallel engine, and lane
+// k of it is bit-identical to a scalar Session seeded from srcs[k]
+// (ZeroDelay for hidden cycles, ZeroDelayToggle or EventDriven for
+// sampled ones):
 //
 //   - Hidden cycles execute the Step program, which computes only the
 //     next latch state — dead fanout, BUF chains and fused gate chains
@@ -30,8 +36,8 @@ const CompiledMaxLanes = 8 * 64
 //     latch state, so nothing is lost by deferring it).
 //   - Sampled cycles execute the observation-exact Full program: one
 //     register row per node, so the weighted toggle diff — accumulated
-//     in node-index order per lane, exactly like PackedSession — and
-//     general-delay observation see precisely the interpreted values.
+//     in node-index order per lane, exactly like ZeroDelayToggle — and
+//     general-delay observation see precisely the scalar settled values.
 //     The event-driven engine observes straight off the rows, 64 lanes
 //     per machine word (waveEngine), each lane bit-identical to the
 //     scalar simulator.
@@ -76,8 +82,9 @@ type CompiledSession struct {
 	// cycle.
 	counts []uint64
 
-	// HiddenCycles and SampledCycles count per-replication cycles, the
-	// same accounting as PackedSession and the scalar Session.
+	// HiddenCycles and SampledCycles count per-replication cycles (one
+	// StepHidden over L lanes adds L), the same accounting as the scalar
+	// Session.
 	HiddenCycles  uint64
 	SampledCycles uint64
 
@@ -133,7 +140,7 @@ func NewCompiledSession(c *netlist.Circuit, srcs []vectors.Source) *CompiledSess
 // 1..CompiledMaxLanes per-lane sources, compiling the circuit on first
 // use (the Unit is cached on the circuit). Every lane starts in the
 // all-zero latch state with an all-zero input pattern, settled — the
-// same reset state as the packed and scalar sessions.
+// same reset state as a scalar Session.
 func NewCompiledSessionConfig(c *netlist.Circuit, srcs []vectors.Source, cfg CompiledConfig) *CompiledSession {
 	if len(srcs) == 0 || len(srcs) > CompiledMaxLanes {
 		panic(fmt.Sprintf("sim: NewCompiledSession needs 1..%d sources, got %d", CompiledMaxLanes, len(srcs)))
@@ -305,13 +312,14 @@ func (s *CompiledSession) ResetCounters() {
 }
 
 // AccumulateToggles installs dst (len NumNodes, or nil to disable) as
-// the per-node transition-count accumulator, with the same semantics as
-// PackedSession.AccumulateToggles: zero-delay sampled steps count from
-// the Full-file row diff (one popcount per node word, summed across the
-// row's words), engine-observed steps count from the engine's
-// transitions (popcounts of the word-level engine's toggle words).
-// Counts are integers, so they are bit-identical to the packed backend's
-// regardless of lane width or word layout.
+// the per-node transition-count accumulator: every sampled cycle adds
+// each active lane's transitions at node i into dst[i]. Zero-delay
+// sampled steps count from the Full-file row diff (one popcount per
+// node word, summed across the row's words), general-delay steps from
+// the word-level engine's toggle words, so glitches are included.
+// Counts are integers, so they equal the sum of the scalar sessions'
+// counts regardless of lane width or word layout, and accumulation
+// never perturbs powers.
 func (s *CompiledSession) AccumulateToggles(dst []uint64) {
 	if dst != nil && len(dst) != s.c.NumNodes() {
 		panic(fmt.Sprintf("sim: AccumulateToggles length %d, want %d", len(dst), s.c.NumNodes()))
@@ -319,7 +327,8 @@ func (s *CompiledSession) AccumulateToggles(dst []uint64) {
 	s.counts = dst
 }
 
-// CycleCounts returns the cost counters, satisfying LaneSession.
+// CycleCounts returns the per-replication hidden and sampled cycle
+// counts accumulated so far.
 func (s *CompiledSession) CycleCounts() (hidden, sampled uint64) {
 	return s.HiddenCycles, s.SampledCycles
 }
@@ -355,7 +364,7 @@ func (s *CompiledSession) swapFull() {
 
 // refreshFull re-settles the Full register file if hidden cycles left
 // it stale. Settling is a pure function of (pins, q), so the recomputed
-// rows are exactly what an interpreted session would hold here.
+// rows are exactly what a scalar session would hold here.
 func (s *CompiledSession) refreshFull() {
 	if !s.fresh {
 		s.settleFull()
@@ -373,7 +382,7 @@ func b2u(b bool) uint64 {
 }
 
 // drawInputs fills buf with every lane's next input pattern, consuming
-// the sources in lane order (the same order as PackedSession.advance).
+// the sources in lane order.
 // Lanes are packed one word at a time through register-local
 // accumulators: the 64 lanes of a word OR into accBuf (a few hot cache
 // lines) instead of read-modify-writing the strided buf rows per lane,
@@ -444,9 +453,10 @@ func (s *CompiledSession) StepHiddenN(n int) {
 
 // StepSampled advances every lane one clock cycle and computes each
 // lane's weighted zero-delay toggle power from the Full-program row
-// diff, in the same per-lane accumulation order as
-// PackedSession.StepSampled — bit-identical including float summation
-// order.
+// diff: every set bit of a node's diff word adds the node's weight to
+// its lane's sum. powers[k] receives lane k's sum (len(powers) >=
+// Lanes()), bit-identical, float summation order included, to the
+// scalar ZeroDelayToggle engine; glitches are excluded by construction.
 func (s *CompiledSession) StepSampled(weights []float64, powers []float64) {
 	if len(powers) < s.lanes {
 		panic(fmt.Sprintf("sim: compiled StepSampled powers length %d, want >= %d", len(powers), s.lanes))
@@ -479,7 +489,7 @@ func (s *CompiledSession) observeLanes(dt *delay.Table, weights, powers []float6
 // settled row diff (full vs oldFull). Iteration is word-outer: every
 // lane lives in exactly one word, so each lane still sees its weights
 // added in ascending node order — the float summation order per lane is
-// identical to the interpreter's; only the (unobservable) cross-lane
+// identical to ZeroDelayToggle's; only the (unobservable) cross-lane
 // interleaving changes. Word-outer lets each word's 64-lane power span
 // be addressed through a fixed-size array pointer, eliminating the
 // bounds check on the scatter add in the hottest loop of StepSampled.
@@ -487,7 +497,7 @@ func (s *CompiledSession) observeLanes(dt *delay.Table, weights, powers []float6
 // counts, when non-nil, additionally receives each node's cross-lane
 // transition count: one popcount per (node, word), summed across the
 // row's words. Integer sums are order-independent, so the accumulated
-// counts match PackedSession.toggleDiff bit for bit at any lane width.
+// counts are the same at any lane width.
 // StepSampledBoth passes nil here because its counts come from the
 // general-delay observation, which would otherwise double-count the
 // cycle.
@@ -498,7 +508,8 @@ func (s *CompiledSession) toggleDiff(weights, powers []float64, counts []uint64)
 	w := s.w
 	full, old := s.full, s.oldFull
 	for j := 0; j < w; j++ {
-		// Inactive lanes are masked out, as in PackedSession.
+		// Inactive lanes are masked out: their inputs are frozen at the
+		// reset pattern but latch feedback could still toggle them.
 		mask := s.masks[j]
 		if base := j << 6; base+64 <= len(powers) {
 			pw := (*[64]float64)(powers[base:])
@@ -536,8 +547,8 @@ func (s *CompiledSession) toggleDiff(weights, powers []float64, counts []uint64)
 
 // StepSampledWith advances every lane one clock cycle, observing each
 // lane as the event-driven simulator under dt would — the general-delay
-// path, run word-level (observeLanes). Per-lane results are
-// bit-identical to PackedSession.StepSampledWith.
+// path, run word-level (observeLanes). powers[k] receives lane k's
+// weighted transition sum (len(powers) >= Lanes()).
 func (s *CompiledSession) StepSampledWith(dt *delay.Table, weights []float64, powers []float64) {
 	if len(powers) < s.lanes {
 		panic(fmt.Sprintf("sim: compiled StepSampledWith powers length %d, want >= %d", len(powers), s.lanes))
@@ -553,8 +564,11 @@ func (s *CompiledSession) StepSampledWith(dt *delay.Table, weights []float64, po
 
 // StepSampledBoth advances every lane one clock cycle, observing each
 // lane under dt (as StepSampledWith) while also computing the
-// zero-delay toggle covariate from the row diff — both per-lane
-// bit-identical to PackedSession.StepSampledBoth.
+// zero-delay toggle covariate from the row diff (as StepSampled). The
+// same cycle thus yields the general-delay sample and its
+// functional-toggle covariate, which is what the control-variate
+// transform consumes: the covariate costs one extra diff pass, not a
+// second simulation.
 func (s *CompiledSession) StepSampledBoth(dt *delay.Table, weights []float64, powers, toggles []float64) {
 	if len(powers) < s.lanes || len(toggles) < s.lanes {
 		panic(fmt.Sprintf("sim: compiled StepSampledBoth powers/toggles lengths %d/%d, want >= %d",
@@ -597,9 +611,10 @@ func (s *CompiledSession) StepSampledRecord(stack *CycleStack, weights, toggles 
 	s.SampledCycles += uint64(s.lanes)
 }
 
-// ExtractLane copies lane k's settled state into scalar arrays (any
-// destination may be nil), re-settling the Full file first if hidden
-// cycles left it stale.
+// ExtractLane copies lane k's settled state into scalar arrays — node
+// values (len NumNodes), input pattern (len #inputs) and latch state
+// (len #latches); any destination may be nil — re-settling the Full
+// file first if hidden cycles left it stale.
 func (s *CompiledSession) ExtractLane(k int, vals, pins, q []bool) {
 	if k < 0 || k >= s.lanes {
 		panic(fmt.Sprintf("sim: ExtractLane %d of %d", k, s.lanes))

@@ -3,11 +3,14 @@
 //
 //   - a zero-delay levelized functional simulator, used to advance the
 //     circuit state cheaply through the independence interval,
-//   - a bit-parallel 64-lane variant of it (PackedZeroDelay), which
-//     advances 64 independent replications per machine word, and
 //   - an event-driven general-delay simulator with inertial gate delays,
 //     used on sampled cycles to observe every transition (including
-//     glitches) for the power computation of Eq. 1.
+//     glitches) for the power computation of Eq. 1, and
+//   - one lane-parallel engine over both (CompiledSession), which runs
+//     the circuit compiled by internal/compile on up to 512 independent
+//     replications per step, 64 per machine word. The scalar Session and
+//     EventDriven are its oracle: lane k is bit-identical to a scalar
+//     Session seeded from the lane's source.
 //
 // The event-driven simulator is canonical: each gate is evaluated once
 // per instant, after all of that instant's fanin commits (a repeated
@@ -25,8 +28,7 @@
 // does not change again within one gate delay (inertial filtering as a
 // sliding OR of change masks). Lane sessions therefore take a delay
 // table, not an engine, for general-delay sampling
-// (LaneSession.StepSampledWith): the compiled session hands it to the
-// waveform engine, the packed one to a scalar EventDriven of its own.
+// (CompiledSession.StepSampledWith) and hand it to the waveform engine.
 // sim.CycleStack applies the waveform engine, under a delay table, to
 // one replication's sampled cycles recorded as stacked lanes.
 //
@@ -49,22 +51,22 @@
 // settled-value diff). Sessions take an engine at construction
 // (NewSessionEngine) and default to event-driven (NewSession).
 //
-// The sampled phase is bit-parallel in the zero-delay scenario:
-// PackedSession.StepSampled computes all 64 lanes' powers from one
-// packed sweep plus an XOR diff pass over the value words (each set bit
-// routes its node's weight to its lane's sum) — a sampled cycle then
-// costs the same order as a hidden one. Lane k of a packed sampled step
-// is bit-identical, float summation order included, to a scalar
-// ZeroDelayToggle session over the same source; the property tests
-// assert this for every lane. PackedSession.StepSampledWith keeps the
-// general-delay path on the scalar reference: each lane is extracted
-// into the scalar engine, which makes the packed backend the oracle of
-// the compiled backend's word-level engine in the differential battery.
+// The sampled phase is word-parallel in the zero-delay scenario:
+// CompiledSession.StepSampled computes every lane's power from one Full
+// program pass plus an XOR diff pass over the register rows (each set
+// bit routes its node's weight to its lane's sum) — a sampled cycle then
+// costs the same order as a hidden one. Lane k of a compiled sampled
+// step is bit-identical, float summation order included, to a scalar
+// ZeroDelayToggle session over the same source. The differential
+// battery drives a compiled session and one scalar Session per lane
+// through the same mixed trajectory and asserts this for every lane:
+// power bits, covariates, per-node counts, settled values, inputs and
+// latch state.
 //
 // The scalar simulators operate on the same dense value array, so a
-// session can interleave them cycle by cycle; the packed simulator keeps
-// one uint64 word per node and can extract any single lane into the
-// scalar representation. All inner loops run over the circuit's frozen
-// CSR view (netlist.CSR): flat kind/level/fanin/fanout arrays instead of
-// per-Node slice chasing.
+// session can interleave them cycle by cycle; the compiled session
+// keeps one w-word register row per node and can extract any single
+// lane into the scalar representation. All scalar inner loops run over
+// the circuit's frozen CSR view (netlist.CSR): flat kind/level/fanin/
+// fanout arrays instead of per-Node slice chasing.
 package sim

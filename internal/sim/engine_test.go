@@ -12,8 +12,8 @@ import (
 )
 
 // TestPropertyPackedZeroDelaySampledMatchesScalarToggle is the central
-// property of the packed sampled phase: over random circuits, a packed
-// zero-delay sampled step produces, on every one of the 64 lanes,
+// property of the word-parallel sampled phase: over random circuits, a
+// compiled zero-delay sampled step produces, on every one of 64 lanes,
 // exactly the power a scalar session with the ZeroDelayToggle engine
 // produces over the same source — bit-identical floats, not just close,
 // because both sum weights in node-index order. Hidden and sampled
@@ -26,9 +26,9 @@ func TestPropertyPackedZeroDelaySampledMatchesScalarToggle(t *testing.T) {
 			t.Logf("seed %d: generate: %v", seed, err)
 			return false
 		}
-		const lanes = MaxLanes
+		const lanes = WordLanes
 		base := int64(seed)*3000 + 13
-		ps := NewPackedSession(c, laneSources(len(c.Inputs), lanes, base))
+		ps := NewCompiledSession(c, laneSources(len(c.Inputs), lanes, base))
 		w := make([]float64, c.NumNodes())
 		for i := range w {
 			w[i] = 0.25 + float64(i%7)*0.125
@@ -52,7 +52,7 @@ func TestPropertyPackedZeroDelaySampledMatchesScalarToggle(t *testing.T) {
 				for k := 0; k < lanes; k++ {
 					p := scalar[k].StepSampled(nil)
 					if p != powers[k] {
-						t.Logf("seed %d cycle %d lane %d: packed power %g, scalar toggle %g",
+						t.Logf("seed %d cycle %d lane %d: compiled power %g, scalar toggle %g",
 							seed, cycle, k, powers[k], p)
 						return false
 					}
@@ -166,14 +166,14 @@ func TestZeroDelayToggleCounts(t *testing.T) {
 	}
 }
 
-// TestPackedSampledFewerLanes: a partially filled packed session masks
-// inactive lanes out of the sampled diff and still matches scalar
-// toggle sessions lane-for-lane.
+// TestPackedSampledFewerLanes: a partially filled word masks inactive
+// lanes out of the sampled diff and still matches scalar toggle
+// sessions lane-for-lane.
 func TestPackedSampledFewerLanes(t *testing.T) {
 	c := bench89.MustGet("s298")
 	const lanes = 5
 	base := int64(77)
-	ps := NewPackedSession(c, laneSources(len(c.Inputs), lanes, base))
+	ps := NewCompiledSession(c, laneSources(len(c.Inputs), lanes, base))
 	w := make([]float64, c.NumNodes())
 	for i := range w {
 		w[i] = 1 + float64(i%3)
@@ -188,7 +188,7 @@ func TestPackedSampledFewerLanes(t *testing.T) {
 		ps.StepSampled(w, powers)
 		for k := 0; k < lanes; k++ {
 			if p := scalar[k].StepSampled(nil); p != powers[k] {
-				t.Fatalf("cycle %d lane %d: packed %g, scalar %g", cycle, k, powers[k], p)
+				t.Fatalf("cycle %d lane %d: compiled %g, scalar %g", cycle, k, powers[k], p)
 			}
 		}
 	}

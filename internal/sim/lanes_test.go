@@ -10,21 +10,11 @@ import (
 	"repro/internal/vectors"
 )
 
-// laneSources builds the fixed lane→seed mapping used throughout the
-// tests: lane k gets an i.i.d. source seeded base+k.
-func laneSources(width, lanes int, base int64) []vectors.Source {
-	srcs := make([]vectors.Source, lanes)
-	for k := range srcs {
-		srcs[k] = vectors.NewIID(width, 0.5, base+int64(k))
-	}
-	return srcs
-}
-
 // TestPropertyPackedMatchesScalar is the central bit-parallel property
 // over seeded random circuits: after any multi-cycle run with latch
-// feedback, every lane of the packed simulator settles to exactly the
-// same node values as a scalar ZeroDelay session driven by the same
-// seed. All 64 lanes are checked every cycle.
+// feedback, every lane packed into a compiled session's words settles
+// to exactly the same node values as a scalar ZeroDelay session driven
+// by the same seed. All 64 lanes are checked every cycle.
 func TestPropertyPackedMatchesScalar(t *testing.T) {
 	check := func(seed uint32) bool {
 		sig := randomSignature(seed)
@@ -33,9 +23,9 @@ func TestPropertyPackedMatchesScalar(t *testing.T) {
 			t.Logf("seed %d: generate: %v", seed, err)
 			return false
 		}
-		const lanes = MaxLanes
+		const lanes = WordLanes
 		base := int64(seed)*1000 + 1
-		ps := NewPackedSession(c, laneSources(len(c.Inputs), lanes, base))
+		ps := NewCompiledSession(c, laneSources(len(c.Inputs), lanes, base))
 		w := make([]float64, c.NumNodes())
 		scalar := make([]*Session, lanes)
 		dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
@@ -67,9 +57,10 @@ func TestPropertyPackedMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestPropertyPackedSampledMatchesScalar interleaves hidden and sampled
-// steps (the estimator's two-phase pattern) and asserts lane state AND
-// per-cycle power agree with scalar sessions for every lane.
+// TestPropertyPackedSampledMatchesScalar interleaves hidden and
+// general-delay sampled steps (the estimator's two-phase pattern) on a
+// compiled session and asserts lane state AND per-cycle power agree
+// with scalar sessions for every lane.
 func TestPropertyPackedSampledMatchesScalar(t *testing.T) {
 	check := func(seed uint32) bool {
 		sig := randomSignature(seed)
@@ -77,9 +68,9 @@ func TestPropertyPackedSampledMatchesScalar(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		const lanes = MaxLanes
+		const lanes = WordLanes
 		base := int64(seed)*2000 + 7
-		ps := NewPackedSession(c, laneSources(len(c.Inputs), lanes, base))
+		ps := NewCompiledSession(c, laneSources(len(c.Inputs), lanes, base))
 		w := make([]float64, c.NumNodes())
 		for i := range w {
 			w[i] = 1 + float64(i%5)
@@ -137,12 +128,12 @@ func TestPropertyPackedSampledMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestPackedCounters: the per-replication cycle counters scale with the
-// lane count.
+// TestPackedCounters: a compiled session's per-replication cycle
+// counters scale with the lane count.
 func TestPackedCounters(t *testing.T) {
 	c := bench89.S27()
 	const lanes = 5
-	ps := NewPackedSession(c, laneSources(len(c.Inputs), lanes, 11))
+	ps := NewCompiledSession(c, laneSources(len(c.Inputs), lanes, 11))
 	dt := delay.BuildTable(c, delay.Unit{})
 	w := make([]float64, c.NumNodes())
 	powers := make([]float64, lanes)
@@ -161,13 +152,13 @@ func TestPackedCounters(t *testing.T) {
 	}
 }
 
-// TestPackedFewerLanes: a partially filled packed session (lanes < 64)
-// still matches scalar sessions lane-for-lane.
+// TestPackedFewerLanes: a partially filled word (lanes < 64) still
+// matches scalar sessions lane-for-lane.
 func TestPackedFewerLanes(t *testing.T) {
 	c := bench89.MustGet("s298")
 	const lanes = 9
 	base := int64(41)
-	ps := NewPackedSession(c, laneSources(len(c.Inputs), lanes, base))
+	ps := NewCompiledSession(c, laneSources(len(c.Inputs), lanes, base))
 	w := make([]float64, c.NumNodes())
 	dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
 	scalar := make([]*Session, lanes)

@@ -11,17 +11,17 @@ import (
 
 // pairBench builds a frozen benchmark circuit with its default models
 // for the pair-sampling equivalence tests.
-func pairBench(t *testing.T, name string) (*PackedSession, *PackedSession, []float64, int) {
+func pairBench(t *testing.T, name string) (*CompiledSession, *CompiledSession, []float64, int) {
 	t.Helper()
 	c := bench89.MustGet(name)
 	weights := power.NewModel(c, power.DefaultCapModel(), power.DefaultSupply()).Weights()
-	const lanes = MaxLanes
-	mk := func() *PackedSession {
+	const lanes = WordLanes
+	mk := func() *CompiledSession {
 		srcs := make([]vectors.Source, lanes)
 		for k := range srcs {
 			srcs[k] = vectors.NewIID(len(c.Inputs), 0.5, int64(1000+k))
 		}
-		return NewPackedSession(c, srcs)
+		return NewCompiledSession(c, srcs)
 	}
 	return mk(), mk(), weights, lanes
 }
@@ -59,7 +59,7 @@ func TestStepSampledBothMatchesSeparateSteps(t *testing.T) {
 			b.StepSampled(weights, powersB)
 			for k := 0; k < lanes; k++ {
 				if togglesA[k] != powersB[k] {
-					t.Fatalf("cycle %d lane %d: both-toggle %v != packed zero-delay power %v", cycle, k, togglesA[k], powersB[k])
+					t.Fatalf("cycle %d lane %d: both-toggle %v != zero-delay power %v", cycle, k, togglesA[k], powersB[k])
 				}
 			}
 		}

@@ -149,7 +149,7 @@ func (s *Session) StepSampled(counts []uint64) float64 {
 // zero-delay toggle power c (the weights of every node whose settled
 // value changed, summed in node-index order). Every engine leaves vals
 // zero-delay settled, so c is bit-identical to what the ZeroDelayToggle
-// engine — and lane-for-lane the packed sampled step — would report for
+// engine — and lane-for-lane the compiled sampled step — would report for
 // the cycle, and the session trajectory and x are bit-identical to a
 // plain StepSampled. The pair is the calibration substrate of the
 // control-variate transform (internal/vr): x is the sample, c the

@@ -279,7 +279,7 @@ func (we *waveEngine) sum(weights, pw []float64, counts []uint64) {
 // a packed state, then observes them all in one word-level pass. A
 // replication's sampled cycles do not depend on their observation, so a
 // sequence of them can be recorded as it is stepped
-// (LaneSession.StepSampledRecord) and observed afterwards, 64 cycles per
+// (CompiledSession.StepSampledRecord) and observed afterwards, 64 cycles per
 // machine word instead of one scalar EventDriven.Cycle each; every
 // recorded cycle's power is bit-identical to what EventDriven.Cycle
 // returns for it.

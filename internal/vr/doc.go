@@ -2,7 +2,7 @@
 // procedure: estimator transforms that converge the paper's confidence
 // interval (§IV, the accuracy specification of Eq. 3) with fewer
 // sampled cycles, complementing the per-sample acceleration of the
-// packed simulator.
+// lane-parallel compiled simulator.
 //
 // The paper's two-phase scheme (§III–IV) draws nearly independent
 // power samples X_1, X_2, ... and feeds them to a sequential stopping
@@ -12,9 +12,9 @@
 //
 //   - Antithetic pairing (ModeAntithetic): replication 2i+1 draws the
 //     mirrored input stream of replication 2i (every underlying uniform
-//     u replaced by 1-u, see vectors.Antithetic), so the packed
-//     simulator's 64 lanes form 32 negatively correlated pairs for
-//     free. The criterion consumes pair means (X_{2i}+X_{2i+1})/2,
+//     u replaced by 1-u, see vectors.Antithetic), so every 64-lane
+//     word of the lane-parallel simulator forms 32 negatively
+//     correlated pairs for free. The criterion consumes pair means (X_{2i}+X_{2i+1})/2,
 //     whose variance is sigma^2 (1+rho)/2 per pair with rho <= 0 —
 //     never more than two independent samples' worth, and strictly
 //     less whenever the mirrored streams anticorrelate.
@@ -22,11 +22,11 @@
 //   - Control variates (ModeControlVariate): each general-delay sample
 //     X (event-driven, glitches included) is observed together with
 //     its same-cycle zero-delay toggle power C — already computed by
-//     the packed engine's word-level diff — and the criterion consumes
+//     the lane engine's word-level diff — and the criterion consumes
 //     Y = X - beta (C - mu_C). The coefficient beta is
 //     regression-estimated from the phase-1 sequence (the accepted
 //     randomness-test sequence of Fig. 2, collected as (X, C) pairs),
-//     and mu_C comes from a long packed zero-delay pre-run, which costs
+//     and mu_C comes from a long word-parallel zero-delay pre-run, which costs
 //     hidden-cycle rates. Since E[C] = mu_C up to the pre-run's small
 //     estimation error and beta is fixed before phase 2 on independent
 //     seeds, E[Y] = E[X]: the transform is unbiased, and

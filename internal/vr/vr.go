@@ -65,8 +65,8 @@ func ParseMode(s string) (Mode, error) {
 	return "", fmt.Errorf("vr: unknown variance-reduction mode %q (want none, antithetic or control-variate)", s)
 }
 
-// DefaultControlCycles is the default length, in packed 64-lane
-// zero-delay sweeps, of the pre-run that estimates the control-variate
+// DefaultControlCycles is the default length, in 64-lane zero-delay
+// cycles, of the pre-run that estimates the control-variate
 // covariate mean. 4096 sweeps observe 64x4096 ~ 262k per-cycle toggle
 // powers, putting the mean's standard error two orders of magnitude
 // under the paper's 5% accuracy target while costing only hidden-cycle
@@ -85,7 +85,7 @@ type Spec struct {
 	// estimator to.
 	BetaOverride *float64
 	// ControlCycles overrides the covariate-mean pre-run length in
-	// packed sweeps (0 = DefaultControlCycles). Ignored outside
+	// 64-lane cycles (0 = DefaultControlCycles). Ignored outside
 	// ModeControlVariate.
 	ControlCycles int
 }
